@@ -1,0 +1,171 @@
+"""Linear extended state observers on tracking-error coordinates, plus the
+estimation-error bound machinery used by the verification suite.
+
+A LESO of order n+m estimates (e_1, ..., e_n, e_(n+1), ..., e_(n+m)) where
+e_(n+1) is the lumped disturbance and higher entries its derivatives. The
+first estimate is initialised to the measured e_1 exactly; the rest come from
+configuration. Updates are fixed-step RK4 with measurement and control held
+over the step.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.linalg import expm
+
+from .integrate import rk4_step
+from .polynomials import leso_gains
+
+
+class Leso:
+    """(n+m)-th order linear extended state observer.
+
+    estimate dynamics:
+        e_hat_i' = e_hat_(i+1) + beta_i (e_1 - e_hat_1)   (i < n+m)
+        e_hat_n' gains the known input term b*u
+        e_hat_(n+m)' = beta_(n+m) (e_1 - e_hat_1)
+
+    By default beta is the binomial expansion of (s + omega_o)^(n+m); an
+    explicit ``beta`` is accepted for deliberately detuned experiments.
+    """
+
+    def __init__(self, n, m, omega_o, b, e1_initial=0.0,
+                 initial_estimates=(), beta=None):
+        if m < 1:
+            raise ValueError("extension order m must be >= 1")
+        if b == 0:
+            raise ValueError("input gain b must be nonzero")
+        self.n = int(n)
+        self.m = int(m)
+        self.order = self.n + self.m
+        self.omega_o = float(omega_o)
+        self.b = float(b)
+        self.beta = tuple(beta) if beta is not None else leso_gains(self.order, omega_o)
+        if len(self.beta) != self.order:
+            raise ValueError(
+                f"beta has length {len(self.beta)}, expected {self.order}"
+            )
+        initial_estimates = tuple(initial_estimates)
+        if len(initial_estimates) > self.order - 1:
+            raise ValueError("too many initial estimates: e_hat_1 is measured")
+        self.e_hat = [float(e1_initial)] + [
+            float(initial_estimates[i]) if i < len(initial_estimates) else 0.0
+            for i in range(self.order - 1)
+        ]
+        self.diverged = False
+        self.t = 0.0
+
+    def _deriv(self, eh, e1, u):
+        beta = self.beta
+        innov = e1 - eh[0]
+        last = self.order - 1
+        d = [0.0] * self.order
+        for i in range(last):
+            d[i] = eh[i + 1] + beta[i] * innov
+        d[last] = beta[last] * innov
+        d[self.n - 1] += self.b * u
+        return d
+
+    def step(self, e1, u, dt):
+        """Advance the estimates over one control period with (e1, u) held."""
+        if self.diverged:
+            return self.e_hat
+        new = rk4_step(lambda eh, t: self._deriv(eh, e1, u), self.e_hat, self.t, dt)
+        for v in new:
+            if not math.isfinite(v):
+                self.diverged = True
+                break
+        self.e_hat = new
+        self.t += dt
+        return self.e_hat
+
+
+class ScaledError:
+    """Bandwidth-scaled estimation error eps_i = e_tilde_i / omega_o^(i-1)
+    and its running sup-norm over time (monotone by construction)."""
+
+    def __init__(self, omega_o, order):
+        self.scales = tuple(float(omega_o) ** i for i in range(order))
+        self.gamma = 0.0
+
+    def update(self, e_tilde):
+        eps = [e / s for e, s in zip(e_tilde, self.scales)]
+        norm = max(abs(v) for v in eps)
+        if norm > self.gamma:
+            self.gamma = norm
+        return eps
+
+
+def bound_tail_coefficient(order, i):
+    """Combinatorial factor G_i in the estimation-error tail bound:
+    sum over j = 0..i-1 of C(order - i + j, order - i)."""
+    if not 1 <= i <= order:
+        raise ValueError(f"index {i} outside 1..{order}")
+    return sum(math.comb(order - i + j, order - i) for j in range(i))
+
+
+def bound_tail_max(order):
+    return max(bound_tail_coefficient(order, i) for i in range(1, order + 1))
+
+
+def error_contraction_matrix(beta, omega_o):
+    """Scaled error-system matrix: companion-like with first column
+    -alpha_i = -beta_i / omega_o^i and ones on the superdiagonal. With
+    binomial gains its eigenvalues all sit at -1."""
+    order = len(beta)
+    a = np.zeros((order, order))
+    for i in range(order):
+        a[i, 0] = -beta[i] / omega_o ** (i + 1)
+        if i + 1 < order:
+            a[i, i + 1] = 1.0
+    return a
+
+
+def inf_norm(matrix):
+    return float(np.max(np.sum(np.abs(matrix), axis=1)))
+
+
+def estimation_error_bound(beta, omega_o, eps0_norm, h1, h2, tau, i):
+    """Upper bound on |e_tilde_i(t0 + tau)| for a LESO with gains beta:
+
+        omega_o^(i-1) * ||exp(omega_o * A_tilde * tau)||_inf * ||eps(t0)||_inf
+        + (h1 + h2) * G_i / omega_o^(order - i + 1)
+
+    h1 bounds the disturbance derivatives, h2 the reference derivatives.
+    The matrix exponential is evaluated by scaling-and-squaring.
+    """
+    order = len(beta)
+    if not (omega_o > 0):
+        raise ValueError("omega_o must be positive")
+    tail = (h1 + h2) * bound_tail_coefficient(order, i) / omega_o ** (order - i + 1)
+    if eps0_norm == 0.0:
+        return tail
+    a = error_contraction_matrix(beta, omega_o)
+    transient = inf_norm(expm(omega_o * tau * a)) * eps0_norm
+    return omega_o ** (i - 1) * transient + tail
+
+
+def scaled_error_bound(beta, omega_o, eps0_norm, h1, h2, tau):
+    """Upper bound on ||eps(t0 + tau)||_inf (same structure, G = max_i G_i)."""
+    order = len(beta)
+    tail = (h1 + h2) * bound_tail_max(order) / omega_o**order
+    if eps0_norm == 0.0:
+        return tail
+    a = error_contraction_matrix(beta, omega_o)
+    return inf_norm(expm(omega_o * tau * a)) * eps0_norm + tail
+
+
+def contraction_norm_profile(beta, omega_o, dt, steps):
+    """||exp(omega_o * A_tilde * k dt)||_inf for k = 0..steps, computed by
+    repeated multiplication with the one-step exponential."""
+    a = error_contraction_matrix(beta, omega_o)
+    phi = expm(omega_o * dt * a)
+    norms = np.empty(steps + 1)
+    current = np.eye(len(beta))
+    norms[0] = inf_norm(current)
+    for k in range(1, steps + 1):
+        current = phi @ current
+        norms[k] = inf_norm(current)
+    return norms
