@@ -112,7 +112,7 @@ def _parse_values(text):
 def _cmd_sweep(args):
     cfg = _load_config(args.config)
     values = _parse_values(args.values)
-    results = sweep(cfg, args.param, values, workers=args.workers)
+    results = sweep(cfg, args.param, values)
     out = _out_dir(args)
     path = os.path.join(out, f"{cfg.name}_sweep.csv")
     with open(path, "w") as fh:
@@ -163,7 +163,6 @@ def build_parser():
                          help="dotted path, e.g. plant.disturbance.amplitude")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values")
-    p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -63,7 +63,6 @@ class ZFilter:
         return acc
 
     def _deriv(self, state, v):
-        n = self.n
         d = state[1:]
         last = v
         for c, s in zip(self.a, state):
@@ -113,7 +112,7 @@ class SwitchIndex:
     window=1 degenerates to per-sample argmin.
     """
 
-    def __init__(self, count, window, initial=0):
+    def __init__(self, count, window):
         if count < 1:
             raise ValueError("need at least one observer")
         if window < 1:
@@ -122,25 +121,21 @@ class SwitchIndex:
         self.window = int(window)
         self.accumulators = [0.0] * count
         self.samples = 0
-        self.selected = int(initial)
+        self.selected = 0
         self.switch_count = 0
         self.window_selections = []
 
-    def update(self, z_values, eligible=None):
+    def update(self, z_values):
+        """Add one sample; an observer out of candidacy reports z = inf."""
         acc = self.accumulators
         for j, z in enumerate(z_values):
-            if eligible is not None and not eligible[j]:
-                acc[j] = math.inf
-            else:
-                acc[j] += abs(z)
+            acc[j] += abs(z)
         self.samples += 1
         if self.samples >= self.window:
             best = min(acc)
             if acc[self.selected] > best:
-                choice = acc.index(best)
-                if choice != self.selected:
-                    self.switch_count += 1
-                    self.selected = choice
+                self.switch_count += 1
+                self.selected = acc.index(best)
             self.window_selections.append(self.selected)
             self.accumulators = [0.0] * self.count
             self.samples = 0

@@ -12,21 +12,14 @@ diff-able. Runs are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .controller import (
-    SingleEsoAdrc,
-    Supervisor,
-    IdealTrajectory,
-    reference_from_config,
-)
+from .controller import IdealTrajectory, Supervisor, reference_from_config
 from .errors import ConfigError
 from .observer import Leso
 from .plant import ChainPlant, FrictionParams, RfcPlant, disturbance_from_config
@@ -324,44 +317,65 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 
+class _NoisyMeasurement:
+    """The plant as the controller sees it: its output plus Gaussian noise,
+    one draw per sample, the first when it is made."""
+
+    def __init__(self, plant, amplitude, rng):
+        self.plant = plant
+        self.amplitude = amplitude
+        self.rng = rng
+        self.y = plant.y + amplitude * rng.standard_normal()
+
+    def step(self, u, dt):
+        self.plant.step(u, dt)
+        self.y = self.plant.y + self.amplitude * self.rng.standard_normal()
+
+
 def _make_runtime(cfg, observer_index=None):
-    """Fresh plant + controller for one law; identical seeds give identical
-    disturbance and noise realizations across laws."""
+    """Fresh plant, reference and controller for one law, and the plant as
+    the controller measures it (the plant itself when there is no noise).
+    The switched law runs the whole bank; baseline ``observer_index`` runs a
+    bank of that one observer. Identical seeds give identical disturbance
+    and noise realizations across laws."""
     plant = build_plant(cfg)
-    n = plant.n
-    char = build_char(cfg, n)
+    char = build_char(cfg, plant.n)
     reference = reference_from_config(cfg.reference)
-    rng = np.random.default_rng(cfg.seed)
-    y0 = plant.y
+    measured = plant
     if cfg.noise_amplitude:
-        y0 += cfg.noise_amplitude * rng.standard_normal()
-    e1_0 = y0 - reference.value(0.0)
-    bank = build_bank(cfg, n, plant.b, e1_0)
+        measured = _NoisyMeasurement(plant, cfg.noise_amplitude,
+                                     np.random.default_rng(cfg.seed))
+    bank = build_bank(cfg, plant.n, plant.b, measured.y - reference.value(0.0))
+    if observer_index is not None:
+        bank = [bank[observer_index]]
     trajectory = IdealTrajectory(char.gain_row, plant.tracking_state)
-    if observer_index is None:
-        controller = Supervisor(
-            char, plant.b, reference, trajectory, bank, cfg.dt,
-            window=cfg.window, u_limit=cfg.u_limit,
-        )
-        m = len(bank)
-    else:
-        controller = SingleEsoAdrc(
-            char, plant.b, reference, trajectory, bank[observer_index], cfg.dt,
-            u_limit=cfg.u_limit,
-        )
-        m = 1
-    return plant, reference, controller, rng, y0, m
+    controller = Supervisor(
+        char, plant.b, reference, trajectory, bank, cfg.dt,
+        window=cfg.window, u_limit=cfg.u_limit,
+    )
+    return plant, reference, controller, measured
+
+
+def closed_loop(plant, controller, steps, dt, probe):
+    """Run ``steps`` control periods of ``dt``: each sample k = 0..steps is
+    evaluated by the controller and handed to ``probe(k, record)``, then the
+    plant advances under the held control (not after the last sample)."""
+    y = plant.y
+    for k in range(steps + 1):
+        rec = controller.evaluate(y)
+        probe(k, rec)
+        if k < steps:
+            plant.step(rec.u, dt)
+            y = plant.y
 
 
 def _simulate(cfg, observer_index=None):
     _validate_numerics(cfg)
-    plant, reference, controller, rng, y0, m = _make_runtime(cfg, observer_index)
+    plant, reference, controller, measured = _make_runtime(cfg, observer_index)
     n = plant.n
-    dt = cfg.dt
-    steps = round(cfg.duration / dt)
     label = "multi" if observer_index is None else f"single_{observer_index}"
     trace = SimulationTrace(
-        trace_columns(m),
+        trace_columns(len(controller.bank)),
         meta={
             "config": cfg.to_json(),
             "config_sha256": cfg.config_hash(),
@@ -369,24 +383,15 @@ def _simulate(cfg, observer_index=None):
             "iae_method": cfg.iae_method,
         },
     )
-    noise = cfg.noise_amplitude
-    y = y0
-    for k in range(steps + 1):
-        rec = controller.evaluate(y)
-        probe = plant.total_disturbance(reference.derivative(rec.t, n))
-        trace.append(
-            (rec.t, rec.r1, rec.y, rec.x1_star, rec.e1, rec.ebar1, rec.u,
-             rec.active)
-            + rec.etilde1
-            + rec.z
-            + rec.accumulators
-            + (probe,)
-        )
-        if k < steps:
-            plant.step(rec.u, dt)
-            y = plant.y
-            if noise:
-                y += noise * rng.standard_normal()
+
+    def record(k, rec):
+        lumped = plant.total_disturbance(reference.derivative(rec.t, n))
+        # rec[:8] is (t, r1, y, x1_star, e1, ebar1, u, active)
+        trace.append(rec[:8] + rec.etilde1 + rec.z + rec.accumulators
+                     + (lumped,))
+
+    closed_loop(measured, controller, round(cfg.duration / cfg.dt), cfg.dt,
+                record)
     return trace, controller
 
 
@@ -446,20 +451,16 @@ def _set_path(data, path, value):
         raise ConfigError(path, f"cannot assign into {type(node).__name__}")
 
 
-def sweep(cfg, param_path, values, workers=None):
-    """Run the scenario once per value of the dotted parameter path, fanning
-    runs out across worker threads. Returns [(value, MetricsReport), ...] in
-    input order."""
+def sweep(cfg, param_path, values):
+    """Run the scenario once per value of the dotted parameter path, in
+    order. Returns [(value, MetricsReport), ...]."""
     configs = []
     for value in values:
         data = copy.deepcopy(cfg.to_dict())
         _set_path(data, param_path, value)
         data["name"] = f"{cfg.name}__{param_path.replace('.', '_')}_{value}"
         configs.append(ScenarioConfig.from_dict(data))
-    workers = workers or min(len(configs), os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda c: run_scenario(c)[1], configs))
-    return list(zip(values, results))
+    return [(value, run_scenario(c)[1]) for value, c in zip(values, configs)]
 
 
 # ---------------------------------------------------------------------------
@@ -517,110 +518,49 @@ def _p2p_preset(name, setpoint):
     )
 
 
-def _detuned_bank_preset():
-    return ScenarioConfig.from_dict(
-        {
-            "name": "detuned-bank",
-            "plant": {
-                "kind": "chain",
-                "n": 2,
-                "b": 3.25,
-                "x0": [10.0, 0.0],
-                "disturbance": {"kind": "sinusoid", "amplitude": 5.0,
-                                "omega": 6.283185307179586},
-            },
-            "reference": {"kind": "constant", "value": 10.0},
-            "poles": [[150.0, 2]],
-            "observers": [
-                {"order": 3, "omega_o": 1500.0},
-                {"order": 3, "omega_o": 150.0},
-            ],
-            "dt": 1e-4,
-            "duration": 1.0,
-            "window": 20,
-            "seed": 0,
-        }
-    )
+def _chain_preset(name, x0, disturbance=None,
+                  observers=((3, 1500.0), (4, 1500.0)), **fields):
+    """A preset on the double-integrator chain (b = 3.25) with a double pole
+    at 150 and a bank of (order, omega_o) observers; unless ``fields`` says
+    otherwise it holds a constant reference of 10 for 1 s at dt 1e-4 with
+    window 20 and seed 0."""
+    plant = {"kind": "chain", "n": 2, "b": 3.25, "x0": x0}
+    if disturbance is not None:
+        plant["disturbance"] = disturbance
+    data = {
+        "name": name,
+        "plant": plant,
+        "reference": {"kind": "constant", "value": 10.0},
+        "poles": [[150.0, 2]],
+        "observers": [{"order": order, "omega_o": omega_o}
+                      for order, omega_o in observers],
+        "dt": 1e-4,
+        "duration": 1.0,
+        "window": 20,
+        "seed": 0,
+    }
+    data.update(fields)
+    return ScenarioConfig.from_dict(data)
 
 
-def _quiet_preset():
-    return ScenarioConfig.from_dict(
-        {
-            "name": "quiet",
-            "plant": {"kind": "chain", "n": 2, "b": 3.25, "x0": [10.0, 0.0]},
-            "reference": {"kind": "constant", "value": 10.0},
-            "poles": [[150.0, 2]],
-            "observers": [
-                {"order": 3, "omega_o": 1500.0},
-                {"order": 4, "omega_o": 1500.0},
-            ],
-            "dt": 1e-4,
-            "duration": 0.5,
-            "window": 20,
-            "seed": 0,
-        }
-    )
-
-
-def _tiny_preset():
-    return ScenarioConfig.from_dict(
-        {
-            "name": "tiny",
-            "plant": {
-                "kind": "chain",
-                "n": 2,
-                "b": 3.25,
-                "x0": [0.0, 0.0],
-                "disturbance": {"kind": "sinusoid", "amplitude": 2.0,
-                                "omega": 6.283185307179586},
-            },
-            "reference": {"kind": "constant", "value": 1.0},
-            "poles": [[150.0, 2]],
-            "observers": [
-                {"order": 3, "omega_o": 300.0},
-                {"order": 4, "omega_o": 300.0},
-            ],
-            "dt": 1e-3,
-            "duration": 0.01,
-            "window": 5,
-            "seed": 0,
-            "run_baselines": False,
-        }
-    )
-
-
-def _stick_slip_chain_preset():
-    return ScenarioConfig.from_dict(
-        {
-            "name": "chain-stickslip",
-            "plant": {
-                "kind": "chain",
-                "n": 2,
-                "b": 3.25,
-                "x0": [0.0, 0.0],
-                "disturbance": {"kind": "stick_slip"},
-            },
-            "reference": {"kind": "constant", "value": 10.0},
-            "poles": [[150.0, 2]],
-            "observers": [
-                {"order": 3, "omega_o": 1500.0},
-                {"order": 4, "omega_o": 1500.0},
-            ],
-            "dt": 1e-4,
-            "duration": 1.0,
-            "window": 20,
-            "seed": 0,
-        }
-    )
+def _sine(amplitude):
+    return {"kind": "sinusoid", "amplitude": amplitude,
+            "omega": 6.283185307179586}
 
 
 _PRESET_BUILDERS = {
     "paper-p2p-r10": lambda: _p2p_preset("paper-p2p-r10", 10.0),
     "paper-p2p-r20": lambda: _p2p_preset("paper-p2p-r20", 20.0),
-    "detuned-bank": _detuned_bank_preset,
-    "quiet": _quiet_preset,
-    "tiny": _tiny_preset,
-    "chain-stickslip": _stick_slip_chain_preset,
+    "detuned-bank": lambda: _chain_preset(
+        "detuned-bank", [10.0, 0.0], _sine(5.0),
+        observers=((3, 1500.0), (3, 150.0))),
+    "quiet": lambda: _chain_preset("quiet", [10.0, 0.0], duration=0.5),
+    "tiny": lambda: _chain_preset(
+        "tiny", [0.0, 0.0], _sine(2.0), observers=((3, 300.0), (4, 300.0)),
+        reference={"kind": "constant", "value": 1.0}, dt=1e-3,
+        duration=0.01, window=5, run_baselines=False),
+    "chain-stickslip": lambda: _chain_preset(
+        "chain-stickslip", [0.0, 0.0], {"kind": "stick_slip"}),
 }
 
 

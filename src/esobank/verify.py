@@ -11,9 +11,10 @@ quantity against its bound or target, and reports the margin:
   estimation-error-bounds   per-state and scaled estimation errors stay inside
                             their computed envelopes on smooth scenarios
   tracking-error-bound      |ebar1| stays inside the closed-loop envelope
-  switching                 degenerate bank equals the single-observer law
-                            bitwise; a detuned observer is deselected; the
-                            switched law's IAE tracks the best baseline
+  switching                 a one-observer bank equals a bare single-observer
+                            oracle loop bitwise; a detuned observer is
+                            deselected; the switched law's IAE tracks the
+                            best baseline
   switch-transient          switching causes bounded control jumps and leaves
                             the output continuous
   determinism               fixed-seed reruns produce byte-identical traces
@@ -34,16 +35,23 @@ import numpy as np
 from .controller import (
     ConstantReference,
     IdealTrajectory,
-    SingleEsoAdrc,
     Supervisor,
+    adrc_law,
     reference_sup_bound,
 )
 from .evaluator import (
     ZFilter,
     initial_state_gap,
-    tracking_bound_coefficient,
+    tracking_error_bound,
 )
-from .harness import make_preset, run_scenario, run_single_law, _simulate
+from .harness import (
+    ScenarioConfig,
+    _make_runtime,
+    _simulate,
+    closed_loop,
+    make_preset,
+    run_scenario,
+)
 from .observer import (
     Leso,
     bound_tail_coefficient,
@@ -99,6 +107,50 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _sine_loop(poles, setpoint, b, amp, omega_d, dt, observers, window=20):
+    """The verify scenarios' closed loop: a double integrator started at rest
+    on a constant setpoint, against a sinusoidal disturbance at zero phase,
+    under a supervisor over one observer per ``(order, omega_o,
+    initial_estimates, beta)`` entry of ``observers``.
+
+    Returns (plant, supervisor, disturbance).
+    """
+    char = char_poly(PoleSpec(tuple(poles)))
+    ref = ConstantReference(setpoint)
+    dist = SinusoidDisturbance(amp, omega_d)
+    plant = ChainPlant(2, b, x0=[setpoint, 0.0], disturbance=dist)
+    e1_0 = plant.y - ref.value(0.0)
+    bank = [
+        Leso(2, order - 2, omega_o, b, e1_initial=e1_0,
+             initial_estimates=init, beta=beta)
+        for order, omega_o, init, beta in observers
+    ]
+    traj = IdealTrajectory(char.gain_row, plant.tracking_state)
+    sup = Supervisor(char, b, ref, traj, bank, dt, window=window)
+    return plant, sup, dist
+
+
+def _true_errors(plant, ref, dist, t, e1, order):
+    """Ground-truth tracking-error state (e_1, e_2) and extended states
+    (d^(i) - r^(2+i)) of a double-integrator loop at time t."""
+    e_true = [e1, plant.x[1] - ref.derivative(t, 1)]
+    for extra in range(order - 2):
+        e_true.append(dist.derivative(t, extra) - ref.derivative(t, 2 + extra))
+    return e_true
+
+
+def _tracking_ratio(char, beta, omega_o, gamma, ebar):
+    """The tracking-error envelope of a double-integrator loop whose
+    observers have gains ``beta`` and running scaled-error sup ``gamma``
+    (the ideal trajectory starts on the plant), and max |ebar1|/envelope
+    after t0."""
+    table = ResidueTable.for_gain_family(
+        char, build_g_family(char.gain_row, beta, 2))
+    bound = tracking_error_bound(char, table.row(2), omega_o, 0.0, gamma, 0.0)
+    with np.errstate(invalid="ignore"):
+        return bound, float(np.max(np.abs(ebar[1:]) / bound[1:]))
+
+
 def identity_probe(poles=((150.0, 2),), omega_o=1500.0, order=3, amp=5.0,
                    omega_d=math.pi, dt=1e-5, duration=1.0, inject_e2=0.0,
                    setpoint=10.0, b=3.25, beta_actual=None, beta_assumed=None):
@@ -110,34 +162,25 @@ def identity_probe(poles=((150.0, 2),), omega_o=1500.0, order=3, amp=5.0,
     ``beta_actual``/``beta_assumed`` let a test run an observer whose real
     gains differ from the gains the evaluator was designed for.
     """
-    spec = PoleSpec(tuple(poles))
-    char = char_poly(spec)
-    ref = ConstantReference(setpoint)
-    plant = ChainPlant(2, b, x0=[setpoint, 0.0],
-                       disturbance=SinusoidDisturbance(amp, omega_d))
-    e1_0 = plant.y - ref.value(0.0)
     init = [-inject_e2] + [0.0] * (order - 2)
-    leso = Leso(2, order - 2, omega_o, b, e1_initial=e1_0,
-                initial_estimates=init, beta=beta_actual)
-    traj = IdealTrajectory(char.gain_row, plant.tracking_state)
-    ctrl = SingleEsoAdrc(char, b, ref, traj, leso, dt)
+    plant, ctrl, _ = _sine_loop(poles, setpoint, b, amp, omega_d, dt,
+                                [(order, omega_o, init, beta_actual)])
+    char = ctrl.char
     if beta_assumed is not None:
         g_family = build_g_family(char.gain_row, beta_assumed, 2)
-        ctrl.zfilter = ZFilter(g_family[2], char.delta)
+        ctrl.filters[0] = ZFilter(g_family[2], char.delta)
     steps = round(duration / dt)
     t = np.empty(steps + 1)
     z = np.empty(steps + 1)
     ebar = np.empty(steps + 1)
-    y = plant.y
-    for k in range(steps + 1):
-        rec = ctrl.evaluate(y)
+
+    def probe(k, rec):
         t[k] = rec.t
         z[k] = rec.z[0]
         ebar[k] = rec.ebar1
-        if k < steps:
-            plant.step(rec.u, dt)
-            y = plant.y
-    design_beta = beta_assumed if beta_assumed is not None else leso.beta
+
+    closed_loop(plant, ctrl, steps, dt, probe)
+    design_beta = beta_assumed if beta_assumed is not None else ctrl.bank[0].beta
     g_family = build_g_family(char.gain_row, design_beta, 2)
     table = ResidueTable.for_gain_family(char, g_family)
     gap = initial_state_gap(table, [0.0, inject_e2], t)
@@ -199,28 +242,17 @@ def run_bound_audit(scn, poles=((150.0, 2),), setpoint=10.0, b=3.25,
     order = scn["order"]
     omega_o = scn["omega_o"]
     dt = scn["dt"]
-    n, m = 2, order - 2
-    spec = PoleSpec(tuple(poles))
-    char = char_poly(spec)
-    ref = ConstantReference(setpoint)
-    dist = SinusoidDisturbance(scn["amp"], scn["omega_d"])
-    plant = ChainPlant(n, b, x0=[setpoint, 0.0], disturbance=dist)
-    e1_0 = plant.y - ref.value(0.0)
-    inject = scn.get("inject_e2", 0.0)
+    init = [-scn.get("inject_e2", 0.0)] + [0.0] * (order - 2)
+    plant, ctrl, dist = _sine_loop(poles, setpoint, b, scn["amp"],
+                                   scn["omega_d"], dt,
+                                   [(order, omega_o, init, beta)])
+    char, ref, leso = ctrl.char, ctrl.reference, ctrl.bank[0]
     if scn.get("truth_init"):
         # start the estimates on the ground truth so the scaled error is
         # exactly zero and the bound reduces to its tail term
-        init = [plant.x[1] - ref.derivative(0.0, 1)]
-        for extra in range(m):
-            init.append(dist.derivative(0.0, extra) - ref.derivative(0.0, n + extra))
-    else:
-        init = [-inject] + [0.0] * (order - 2)
-    leso = Leso(n, m, omega_o, b, e1_initial=e1_0, initial_estimates=init,
-                beta=beta)
-    traj = IdealTrajectory(char.gain_row, plant.tracking_state)
-    ctrl = SingleEsoAdrc(char, b, ref, traj, leso, dt)
+        leso.e_hat[1:] = _true_errors(plant, ref, dist, 0.0, 0.0, order)[1:]
 
-    h1 = max(dist.derivative_bound(k) for k in range(1, m + 1))
+    h1 = max(dist.derivative_bound(k) for k in range(1, order - 1))
     h2 = reference_sup_bound(ref, order)
     steps = round(scn["duration"] / dt)
     scales = [omega_o**i for i in range(order)]
@@ -228,20 +260,14 @@ def run_bound_audit(scn, poles=((150.0, 2),), setpoint=10.0, b=3.25,
     etilde = np.empty((steps + 1, order))
     ebar = np.empty(steps + 1)
     t_grid = np.arange(steps + 1) * dt
-    y = plant.y
-    for k in range(steps + 1):
-        rec = ctrl.evaluate(y)
-        tk = rec.t
-        e_true = [rec.e1, plant.x[1] - ref.derivative(tk, 1)]
-        e_true.append(dist.derivative(tk, 0) - ref.derivative(tk, n))
-        for extra in range(1, m):
-            e_true.append(dist.derivative(tk, extra) - ref.derivative(tk, n + extra))
+
+    def probe(k, rec):
+        e_true = _true_errors(plant, ref, dist, rec.t, rec.e1, order)
         for i in range(order):
             etilde[k, i] = e_true[i] - leso.e_hat[i]
         ebar[k] = rec.ebar1
-        if k < steps:
-            plant.step(rec.u, dt)
-            y = plant.y
+
+    closed_loop(plant, ctrl, steps, dt, probe)
 
     eps = np.abs(etilde) / scales
     eps_norm = np.max(eps, axis=1)
@@ -264,14 +290,8 @@ def run_bound_audit(scn, poles=((150.0, 2),), setpoint=10.0, b=3.25,
     bound_norm = norms * eps0_norm + tail_norm
     ratios["eps_norm"] = float(np.max(eps_norm / bound_norm))
 
-    table = ResidueTable.for_gain_family(
-        char, build_g_family(char.gain_row, leso.beta, n)
-    )
-    coeff = tracking_bound_coefficient(table.row(n), spec)
-    tracking_bound = char.delta(omega_o) * gamma * coeff
-    with np.errstate(invalid="ignore"):
-        tracking_ratio = np.abs(ebar[1:]) / tracking_bound[1:]
-    ratios["ebar_1"] = float(np.max(tracking_ratio))
+    tracking_bound, ratios["ebar_1"] = _tracking_ratio(char, leso.beta,
+                                                       omega_o, gamma, ebar)
 
     return {
         "t": t_grid, "etilde": etilde, "ebar": ebar, "gamma": gamma,
@@ -295,69 +315,88 @@ def run_bank_bound_audit(scn=BANK_BOUND_SCENARIO, poles=((150.0, 2),),
     which dominates whichever observer is active at each instant."""
     omega_o = scn["omega_o"]
     dt = scn["dt"]
-    n = 2
-    spec = PoleSpec(tuple(poles))
-    char = char_poly(spec)
-    ref = ConstantReference(setpoint)
-    dist = SinusoidDisturbance(scn["amp"], scn["omega_d"])
-    plant = ChainPlant(n, b, x0=[setpoint, 0.0], disturbance=dist)
-    e1_0 = plant.y - ref.value(0.0)
-    bank = [
-        Leso(n, order - n, omega_o, b, e1_initial=e1_0)
-        for order in scn["orders"]
-    ]
-    traj = IdealTrajectory(char.gain_row, plant.tracking_state)
-    sup = Supervisor(char, b, ref, traj, bank, dt, window=scn["window"])
+    plant, sup, dist = _sine_loop(
+        poles, setpoint, b, scn["amp"], scn["omega_d"], dt,
+        [(order, omega_o, (), None) for order in scn["orders"]],
+        window=scn["window"],
+    )
+    ref, bank = sup.reference, sup.bank
+    top = max(leso.order for leso in bank)
 
     steps = round(scn["duration"] / dt)
-    scales = [
-        [omega_o**i for i in range(leso.order)] for leso in bank
-    ]
+    scales = [omega_o**i for i in range(top)]
     ebar = np.empty(steps + 1)
     gamma_bank = np.empty(steps + 1)
     running = 0.0
-    y = plant.y
-    for k in range(steps + 1):
-        rec = sup.evaluate(y)
-        tk = rec.t
-        base = [rec.e1, plant.x[1] - ref.derivative(tk, 1)]
-        for j, leso in enumerate(bank):
-            e_true = list(base)
-            for extra in range(leso.m):
-                e_true.append(
-                    dist.derivative(tk, extra) - ref.derivative(tk, n + extra)
-                )
+
+    def probe(k, rec):
+        nonlocal running
+        e_true = _true_errors(plant, ref, dist, rec.t, rec.e1, top)
+        for leso in bank:
             eps = max(
                 abs(e - eh) / s
-                for e, eh, s in zip(e_true, leso.e_hat, scales[j])
+                for e, eh, s in zip(e_true, leso.e_hat, scales)
             )
             running = max(running, eps)
         ebar[k] = rec.ebar1
         gamma_bank[k] = running
-        if k < steps:
-            plant.step(rec.u, dt)
-            y = plant.y
 
-    table = ResidueTable.for_gain_family(
-        char, build_g_family(char.gain_row, bank[0].beta, n)
-    )
-    coeff = tracking_bound_coefficient(table.row(n), spec)
-    bound = char.delta(omega_o) * gamma_bank * coeff
-    with np.errstate(invalid="ignore"):
-        ratio = float(np.max(np.abs(ebar[1:]) / bound[1:]))
+    closed_loop(plant, sup, steps, dt, probe)
+
+    _, ratio = _tracking_ratio(sup.char, bank[0].beta, omega_o, gamma_bank, ebar)
     return {"ebar_ratio": ratio, "switches": sup.switch_count}
 
 
-def bitwise_bank_config():
-    cfg = make_preset("detuned-bank")
-    data = cfg.to_dict()
-    data["name"] = "bitwise-check"
-    data["observers"] = [data["observers"][0]]
-    data["duration"] = 0.3
-    data["run_baselines"] = False
-    from .harness import ScenarioConfig
+def single_eso_oracle(plant, char, reference, leso, dt, steps):
+    """The plain single-observer ADRC law as one bare loop, apart from
+    ``Supervisor`` and ``closed_loop``: after each plant step the observer
+    takes the trapezoidal average of the boundary errors, then the z-filter
+    and x* advance and the new control comes from the fresh estimates.
+    Returns the u, y, ebar1 and z_0 columns (noise-free plants)."""
+    zfilter = ZFilter(
+        build_g_family(char.gain_row, leso.beta, char.order)[char.order],
+        char.delta,
+    )
+    trajectory = IdealTrajectory(char.gain_row, plant.tracking_state)
+    cols = {"u": [], "y": [], "ebar1": [], "z_0": []}
 
-    return ScenarioConfig.from_dict(data)
+    def sample(y, e1):
+        etilde1 = e1 - leso.e_hat[0]
+        u = adrc_law(leso.e_hat, char.gain_row, plant.b)
+        row = (u, y, y - trajectory.x[0], zfilter.output(etilde1))
+        for col, value in zip(cols.values(), row):
+            col.append(value)
+        return etilde1, u
+
+    t = 0.0
+    y = plant.y
+    e1 = y - reference.value(t)
+    etilde1, u = sample(y, e1)
+    for _ in range(steps):
+        plant.step(u, dt)
+        y = plant.y
+        t += dt
+        e1_prev, e1 = e1, y - reference.value(t)
+        leso.step(0.5 * (e1_prev + e1), u, dt)
+        zfilter.advance(etilde1, dt)
+        trajectory.step(reference, dt)
+        etilde1, u = sample(y, e1)
+    return cols
+
+
+def bitwise_single_eso():
+    """True when the harness's one-observer bank reproduces the oracle's u,
+    y, ebar1 and z_0 columns bit for bit, on the detuned-bank preset cut to
+    its well-tuned observer and 0.3 s."""
+    data = make_preset("detuned-bank").to_dict()
+    data.update(name="bitwise-check", observers=data["observers"][:1],
+                duration=0.3, run_baselines=False)
+    cfg = ScenarioConfig.from_dict(data)
+    trace, _ = _simulate(cfg)
+    plant, reference, ctrl, _ = _make_runtime(cfg)
+    oracle = single_eso_oracle(plant, ctrl.char, reference, ctrl.bank[0],
+                               cfg.dt, round(cfg.duration / cfg.dt))
+    return all(trace.data[name] == col for name, col in oracle.items())
 
 
 def steady_window_selections(metrics, cfg, settle_time=0.25):
@@ -451,48 +490,33 @@ def check_gap_decay_rate():
     )
 
 
-def check_estimation_error_bounds():
+def _worst_ratio(name, quantity, ratios):
+    """Check that every (scenario, measured/bound) ratio stays below 1."""
     worst = 0.0
-    details = []
-    for scn in BOUND_SCENARIOS:
-        audit = run_bound_audit(scn)
-        local = max(
-            v for k, v in audit["ratios"].items() if k != "ebar_1"
-        )
-        details.append(f"{scn['name']}:{local:.3f}")
-        worst = max(worst, local)
-    return CheckResult(
-        "estimation-error-bounds", worst < 1.0, worst, 1.0,
-        "max |etilde_i|/bound per scenario " + " ".join(details),
-    )
+    for _, ratio in ratios:
+        worst = max(worst, ratio)
+    details = " ".join(f"{scn}:{ratio:.3f}" for scn, ratio in ratios)
+    return CheckResult(name, worst < 1.0, worst, 1.0,
+                       f"max {quantity}/bound per scenario {details}")
+
+
+def check_estimation_error_bounds():
+    return _worst_ratio("estimation-error-bounds", "|etilde_i|", [
+        (scn["name"], max(v for k, v in run_bound_audit(scn)["ratios"].items()
+                          if k != "ebar_1"))
+        for scn in BOUND_SCENARIOS
+    ])
 
 
 def check_tracking_error_bound():
-    worst = 0.0
-    details = []
-    for scn in BOUND_SCENARIOS:
-        audit = run_bound_audit(scn)
-        local = audit["ratios"]["ebar_1"]
-        details.append(f"{scn['name']}:{local:.3f}")
-        worst = max(worst, local)
-    bank = run_bank_bound_audit()
-    details.append(f"sine-bank:{bank['ebar_ratio']:.3f}")
-    worst = max(worst, bank["ebar_ratio"])
-    return CheckResult(
-        "tracking-error-bound", worst < 1.0, worst, 1.0,
-        "max |ebar1|/bound per scenario " + " ".join(details),
-    )
+    ratios = [(scn["name"], run_bound_audit(scn)["ratios"]["ebar_1"])
+              for scn in BOUND_SCENARIOS]
+    ratios.append(("sine-bank", run_bank_bound_audit()["ebar_ratio"]))
+    return _worst_ratio("tracking-error-bound", "|ebar1|", ratios)
 
 
 def check_switching():
-    cfg = bitwise_bank_config()
-    multi, _ = _simulate(cfg)
-    single = run_single_law(cfg, 0)
-    bitwise = (
-        multi.data["u"] == single.data["u"]
-        and multi.data["y"] == single.data["y"]
-        and multi.data["z_0"] == single.data["z_0"]
-    )
+    bitwise = bitwise_single_eso()
 
     detuned_cfg = make_preset("detuned-bank")
     _, metrics = run_scenario(detuned_cfg)
@@ -530,8 +554,6 @@ def check_switch_transient():
 
 
 def check_determinism():
-    from .harness import ScenarioConfig
-
     data = make_preset("tiny").to_dict()
     data["noise_amplitude"] = 1e-6
     data["duration"] = 0.05

@@ -21,6 +21,7 @@ from esobank.errors import ConfigError, DivergenceError
 from esobank.observer import Leso
 from esobank.plant import ChainPlant, SinusoidDisturbance
 from esobank.polynomials import PoleSpec, char_poly
+from esobank.verify import bitwise_single_eso, single_eso_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,19 @@ def test_move_reference_profile():
         fd = (ref.derivative(t + 1e-7, order - 1) - ref.derivative(t - 1e-7, order - 1)) / 2e-7
         assert fd == pytest.approx(ref.derivative(t, order), rel=1e-5)
     assert ref.derivative(0.15, 6) == 0.0
+
+
+def test_move_reference_sup_derivative_is_the_exact_peak():
+    # unit move over unit time: the peaks of s^(k) on [0, 1] in closed form;
+    # the acceleration peak sits off any uniform grid, at tau = 1/2 - sqrt(3)/6
+    ref = MoveReference(0.0, [{"t_start": 0.0, "t_move": 1.0, "target": 1.0}])
+    exact = {1: 1.875, 2: 10.0 / math.sqrt(3.0), 3: 60.0, 4: 360.0, 5: 720.0}
+    for order, peak in exact.items():
+        assert ref.sup_derivative(order) == pytest.approx(peak, rel=1e-12)
+    # span and amplitude scale the order-k bound by |target - start| / span^k
+    scaled = MoveReference(1.0, [{"t_start": 0.3, "t_move": 0.5, "target": -2.0}])
+    assert scaled.sup_derivative(2) == pytest.approx(3.0 * exact[2] / 0.25,
+                                                     rel=1e-12)
 
 
 def test_move_reference_multi_segment_and_validation():
@@ -247,21 +261,34 @@ def _run(plant, ctrl, steps, dt=1e-4):
 
 
 def test_supervisor_single_bank_is_bitwise_single_eso():
-    plant_a, multi = _make_loop([(3, 1500.0)] * 1 + [], window=20)
-    # build the degenerate supervisor explicitly
-    char = char_poly(PoleSpec(((150.0, 2),)))
-    ref = ConstantReference(10.0)
-    plant_b = ChainPlant(2, 3.25, x0=[10.0, 0.0],
-                         disturbance=SinusoidDisturbance(4.0, 2 * math.pi))
-    leso = Leso(2, 1, 1500.0, 3.25, e1_initial=0.0)
-    traj = IdealTrajectory(char.gain_row, plant_b.tracking_state)
-    sup = Supervisor(char, 3.25, ref, traj, [leso], 1e-4, window=20)
-    rec_single = _run(plant_a, multi, 3000)
-    rec_multi = _run(plant_b, sup, 3000)
-    for a, b in zip(rec_single, rec_multi):
-        assert a.u == b.u
-        assert a.y == b.y
-        assert a.z[0] == b.z[0]
+    plant, single = _make_loop([(3, 1500.0)], window=20)
+    records = _run(plant, single, 3000)
+    oracle_plant, parts = _make_loop([(3, 1500.0)], window=20)
+    oracle = single_eso_oracle(oracle_plant, parts.char, parts.reference,
+                               parts.bank[0], 1e-4, 3000)
+    assert [rec.u for rec in records] == oracle["u"]
+    assert [rec.y for rec in records] == oracle["y"]
+    assert [rec.ebar1 for rec in records] == oracle["ebar1"]
+    assert [rec.z[0] for rec in records] == oracle["z_0"]
+
+
+def test_bitwise_criterion_catches_a_raw_measurement_feed(monkeypatch):
+    # the oracle does not run through Supervisor, so a Supervisor that feeds
+    # its observers the raw e1 instead of the trapezoidal average must fail
+    # the bitwise criterion
+    assert bitwise_single_eso()
+    evaluate = Supervisor.evaluate
+
+    def raw_feed(self, y):
+        if self._pending is not None:
+            _, et_prev, u_prev = self._pending
+            # 0.5 * (e1 + e1) is e1 exactly
+            e1 = y - self.reference.value(self.t + self.dt)
+            self._pending = (e1, et_prev, u_prev)
+        return evaluate(self, y)
+
+    monkeypatch.setattr(Supervisor, "evaluate", raw_feed)
+    assert not bitwise_single_eso()
 
 
 def test_supervisor_identical_observers_never_switch():

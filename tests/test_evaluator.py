@@ -181,10 +181,11 @@ def test_switch_accumulators_reset_each_window():
 
 
 def test_switch_eligibility_mask():
+    # an observer out of candidacy reports z = inf
     idx = SwitchIndex(2, window=1)
-    assert idx.update((0.1, 5.0), eligible=[False, True]) == 1
+    assert idx.update((math.inf, 5.0)) == 1
     idx2 = SwitchIndex(2, window=2)
-    idx2.update((0.1, 5.0), eligible=[True, True])
+    idx2.update((0.1, 5.0))
     assert idx2.reselect([False, True]) == 1
 
 

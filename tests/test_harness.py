@@ -171,7 +171,7 @@ def test_baseline_runs_share_disturbance_realization():
 def test_sweep_runs_values_in_order():
     data = make_preset("tiny").to_dict()
     cfg = ScenarioConfig.from_dict(data)
-    results = sweep(cfg, "plant.disturbance.amplitude", [0.0, 2.0], workers=2)
+    results = sweep(cfg, "plant.disturbance.amplitude", [0.0, 2.0])
     assert [v for v, _ in results] == [0.0, 2.0]
     assert results[0][1].iae["multi"] <= results[1][1].iae["multi"]
 
