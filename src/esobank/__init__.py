@@ -36,7 +36,6 @@ from .evaluator import (
 )
 from .observer import (
     Leso,
-    ScaledError,
     bound_tail_coefficient,
     bound_tail_max,
     estimation_error_bound,

@@ -5,8 +5,8 @@ argmin-|z| switching index.
 
 z is produced by a state-space filter (controllable canonical realization of
 g_n(s)/delta(s) with unit feedthrough) driven by the measurable estimation
-error e_tilde_1. A filter step is O(n) and shares the controller's fixed
-clock, so the evaluator adds negligible cost per observer.
+error e_tilde_1. A filter step applies the filter's exact RK4 step map
+(``integrate.LinearBlock``) on the controller's fixed clock.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .integrate import rk4_step
+from .integrate import LinearBlock
 from .observer import inf_norm
 from .polynomials import PolynomialError, decay_polys
 
@@ -30,8 +30,8 @@ class ZFilter:
     initial-condition terms, and the gap they cause decays with the poles of
     delta.
 
-    ``step`` returns the output aligned with the *current* sample, then
-    advances the internal state over one period with the input held.
+    ``output`` gives z for the current sample; ``advance`` then moves the
+    state over one period with that sample's input held.
     """
 
     def __init__(self, g_n, delta):
@@ -44,17 +44,15 @@ class ZFilter:
             raise PolynomialError("g_n and delta must both be monic")
         n = delta.degree
         numer = g_n - delta  # strictly proper part
-        self.n = n
-        self.a = tuple(float(c) for c in delta.coeffs[:-1])
         c_out = [0.0] * n
         for i, coeff in enumerate(numer.coeffs):
             if i < n:
                 c_out[i] = float(coeff)
         self.c_out = tuple(c_out)
+        self.block = LinearBlock(companion_matrix(delta.coeffs[:-1]),
+                                 np.eye(n)[n - 1])
         self.state = [0.0] * n
-        self.z = 0.0
         self.diverged = False
-        self.t = 0.0
 
     def output(self, v):
         acc = v
@@ -62,45 +60,17 @@ class ZFilter:
             acc += c * s
         return acc
 
-    def _deriv(self, state, v):
-        d = state[1:]
-        last = v
-        for c, s in zip(self.a, state):
-            last -= c * s
-        d.append(last)
-        return d
-
     def advance(self, v, dt):
         if self.diverged:
             return
-        new = rk4_step(lambda s, t: self._deriv(s, v), self.state, self.t, dt)
-        for s in new:
-            if not math.isfinite(s):
-                self.diverged = True
-                break
-        self.state = new
-        self.t += dt
-
-    def step(self, e_tilde_1, dt):
-        z = self.output(e_tilde_1)
-        if not math.isfinite(z):
-            self.diverged = True
-        self.z = z
-        self.advance(e_tilde_1, dt)
-        return z
+        self.state = self.block.step(self.state, v, dt)
+        self.diverged = not all(map(math.isfinite, self.state))
 
     def realization(self):
-        """(A, B, C, D) matrices of the filter, for transfer-function checks."""
-        n = self.n
-        a = np.zeros((n, n))
-        for i in range(n - 1):
-            a[i, i + 1] = 1.0
-        a[n - 1, :] = [-c for c in self.a]
-        b = np.zeros((n, 1))
-        b[n - 1, 0] = 1.0
-        c = np.array(self.c_out).reshape(1, n)
-        d = np.array([[1.0]])
-        return a, b, c, d
+        """(A, B, C, D) matrices of the filter, for transfer-function checks;
+        A and B are the ones ``advance`` steps."""
+        return (self.block.a, self.block.b, np.array([self.c_out]),
+                np.array([[1.0]]))
 
 
 class SwitchIndex:
@@ -158,11 +128,8 @@ class SwitchIndex:
 def companion_matrix(gain_row):
     """Closed-loop matrix of an integrator chain under the gain row:
     shift structure with last row -(k_1, ..., k_n)."""
-    n = len(gain_row)
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = 1.0
-    a[n - 1, :] = [-float(k) for k in gain_row]
+    a = np.eye(len(gain_row), k=1)
+    a[-1] -= np.asarray(gain_row, dtype=float)
     return a
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -161,15 +162,26 @@ def build_bank(cfg, n, b, e1_initial):
     return bank
 
 
+def _finite_real(value):
+    """True for a finite int or float that is not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _validate_numerics(cfg):
-    if not cfg.dt > 0:
-        raise ConfigError("dt", f"{cfg.dt!r} must be positive")
-    if not cfg.duration > 0:
-        raise ConfigError("duration", f"{cfg.duration!r} must be positive")
-    if not isinstance(cfg.window, int) or cfg.window < 1:
-        raise ConfigError("window", f"{cfg.window!r} must be a positive integer")
-    if cfg.noise_amplitude < 0:
-        raise ConfigError("noise_amplitude", "must be nonnegative")
+    for name in ("dt", "duration", "u_limit"):
+        value = getattr(cfg, name)
+        if name == "u_limit" and value is None:
+            continue
+        if not (_finite_real(value) and value > 0):
+            raise ConfigError(name, f"{value!r} must be a finite positive number")
+    if not (_finite_real(cfg.noise_amplitude) and cfg.noise_amplitude >= 0):
+        raise ConfigError("noise_amplitude", f"{cfg.noise_amplitude!r} must "
+                          "be a finite nonnegative number")
+    for name, least in (("window", 1), ("seed", 0)):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(name, f"{value!r} must be an integer >= {least}")
     if cfg.iae_method not in ("rectangle", "trapezoid"):
         raise ConfigError("iae_method", f"unknown method {cfg.iae_method!r}")
 

@@ -4,8 +4,8 @@ estimation-error bound machinery used by the verification suite.
 A LESO of order n+m estimates (e_1, ..., e_n, e_(n+1), ..., e_(n+m)) where
 e_(n+1) is the lumped disturbance and higher entries its derivatives. The
 first estimate is initialised to the measured e_1 exactly; the rest come from
-configuration. Updates are fixed-step RK4 with measurement and control held
-over the step.
+configuration. Updates are one RK4 step of the linear estimate dynamics with
+measurement and control held over the step, applied as its exact step map.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .integrate import rk4_step
+from .integrate import LinearBlock
 from .polynomials import leso_gains
 
 
@@ -55,47 +55,28 @@ class Leso:
             for i in range(self.order - 1)
         ]
         self.diverged = False
-        self.t = 0.0
-
-    def _deriv(self, eh, e1, u):
-        beta = self.beta
-        innov = e1 - eh[0]
-        last = self.order - 1
-        d = [0.0] * self.order
-        for i in range(last):
-            d[i] = eh[i + 1] + beta[i] * innov
-        d[last] = beta[last] * innov
-        d[self.n - 1] += self.b * u
-        return d
+        # Stepped as xi = e_hat - e1 * e_1 with e1 held: A e_1 = -beta cancels
+        # the beta * e1 input, so b * u on row n is the only input.
+        self.block = LinearBlock(observer_matrix(self.beta),
+                                 self.b * np.eye(self.order)[self.n - 1])
 
     def step(self, e1, u, dt):
         """Advance the estimates over one control period with (e1, u) held."""
         if self.diverged:
             return self.e_hat
-        new = rk4_step(lambda eh, t: self._deriv(eh, e1, u), self.e_hat, self.t, dt)
-        for v in new:
-            if not math.isfinite(v):
-                self.diverged = True
-                break
+        new = self.block.step([self.e_hat[0] - e1] + self.e_hat[1:], u, dt)
+        new[0] += e1
+        self.diverged = not all(map(math.isfinite, new))
         self.e_hat = new
-        self.t += dt
         return self.e_hat
 
 
-class ScaledError:
-    """Bandwidth-scaled estimation error eps_i = e_tilde_i / omega_o^(i-1)
-    and its running sup-norm over time (monotone by construction)."""
-
-    def __init__(self, omega_o, order):
-        self.scales = tuple(float(omega_o) ** i for i in range(order))
-        self.gamma = 0.0
-
-    def update(self, e_tilde):
-        eps = [e / s for e, s in zip(e_tilde, self.scales)]
-        norm = max(abs(v) for v in eps)
-        if norm > self.gamma:
-            self.gamma = norm
-        return eps
+def observer_matrix(beta):
+    """Estimation-error matrix of a LESO with gains beta: ones on the
+    superdiagonal and first column -beta."""
+    a = np.eye(len(beta), k=1)
+    a[:, 0] -= np.asarray(beta, dtype=float)
+    return a
 
 
 def bound_tail_coefficient(order, i):
@@ -111,16 +92,10 @@ def bound_tail_max(order):
 
 
 def error_contraction_matrix(beta, omega_o):
-    """Scaled error-system matrix: companion-like with first column
-    -alpha_i = -beta_i / omega_o^i and ones on the superdiagonal. With
-    binomial gains its eigenvalues all sit at -1."""
-    order = len(beta)
-    a = np.zeros((order, order))
-    for i in range(order):
-        a[i, 0] = -beta[i] / omega_o ** (i + 1)
-        if i + 1 < order:
-            a[i, i + 1] = 1.0
-    return a
+    """Scaled error-system matrix: the observer matrix of the scaled gains
+    alpha_i = beta_i / omega_o^i. With binomial gains its eigenvalues all
+    sit at -1."""
+    return observer_matrix([b / omega_o ** (i + 1) for i, b in enumerate(beta)])
 
 
 def inf_norm(matrix):

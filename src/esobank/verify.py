@@ -27,6 +27,7 @@ quantity against its bound or target, and reports the margin:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -500,17 +501,29 @@ def _worst_ratio(name, quantity, ratios):
                        f"max {quantity}/bound per scenario {details}")
 
 
+@functools.cache
+def _bound_audit_ratios():
+    """(name, ratios) per BOUND_SCENARIOS audit, shared by two checks."""
+    return tuple((scn["name"], run_bound_audit(scn)["ratios"])
+                 for scn in BOUND_SCENARIOS)
+
+
+@functools.cache
+def _p2p_metrics():
+    """paper-p2p-r10 with both baselines, shared by two checks."""
+    return run_scenario(make_preset("paper-p2p-r10"))[1]
+
+
 def check_estimation_error_bounds():
     return _worst_ratio("estimation-error-bounds", "|etilde_i|", [
-        (scn["name"], max(v for k, v in run_bound_audit(scn)["ratios"].items()
-                          if k != "ebar_1"))
-        for scn in BOUND_SCENARIOS
+        (name, max(v for k, v in ratios.items() if k != "ebar_1"))
+        for name, ratios in _bound_audit_ratios()
     ])
 
 
 def check_tracking_error_bound():
-    ratios = [(scn["name"], run_bound_audit(scn)["ratios"]["ebar_1"])
-              for scn in BOUND_SCENARIOS]
+    ratios = [(name, ratios["ebar_1"])
+              for name, ratios in _bound_audit_ratios()]
     ratios.append(("sine-bank", run_bank_bound_audit()["ebar_ratio"]))
     return _worst_ratio("tracking-error-bound", "|ebar1|", ratios)
 
@@ -523,8 +536,7 @@ def check_switching():
     steady = steady_window_selections(metrics, detuned_cfg)
     fraction = steady.count(0) / len(steady) if steady else 0.0
 
-    p2p_cfg = make_preset("paper-p2p-r10")
-    _, p2p_metrics = run_scenario(p2p_cfg)
+    p2p_metrics = _p2p_metrics()
     singles = [v for k, v in p2p_metrics.iae.items() if k.startswith("single")]
     advantage = p2p_metrics.iae["multi"] / min(singles)
 
@@ -539,9 +551,7 @@ def check_switching():
 
 
 def check_switch_transient():
-    cfg = make_preset("paper-p2p-r10")
-    trace, metrics = run_scenario(cfg)
-    tr = metrics.transient
+    tr = _p2p_metrics().transient
     du_ok = tr["max_switch_du"] <= SWITCH_DU_LIMIT
     dy_ok = tr["max_switch_dy"] <= tr["max_dy"]
     return CheckResult(
@@ -663,6 +673,9 @@ def verify_suite(names=None, printer=print):
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
         selected = [(n, f) for n, f in ALL_CHECKS if n in wanted]
+    # a suite run simulates its shared scenarios, never reusing an earlier run
+    _bound_audit_ratios.cache_clear()
+    _p2p_metrics.cache_clear()
     results = []
     for name, func in selected:
         try:

@@ -15,6 +15,7 @@ from esobank.evaluator import (
     tracking_bound_coefficient,
     tracking_error_bound,
 )
+from esobank.integrate import rk4_step
 from esobank.observer import inf_norm
 from esobank.polynomials import (
     PoleSpec,
@@ -38,7 +39,8 @@ def test_zfilter_passthrough_when_numerator_matches():
     zf = ZFilter(char.delta, char.delta)
     assert zf.c_out == (0.0, 0.0)
     for v in (0.0, 1.0, -3.5):
-        assert zf.step(v, 1e-4) == v
+        assert zf.output(v) == v
+        zf.advance(v, 1e-4)
 
 
 def test_zfilter_strictly_proper_numerator():
@@ -53,9 +55,16 @@ def test_zfilter_realization_transfer_function():
     rng = np.random.default_rng(5)
     for s in rng.uniform(1.0, 5000.0, size=20):
         resolvent = np.linalg.solve(s * np.eye(2) - a, b)
-        realized = float((c @ resolvent)[0, 0]) + 1.0
+        realized = float((c @ resolvent)[0, 0]) + d[0, 0]
         exact = g[2](s) / char.delta(s)
         assert abs(realized - exact) / abs(exact) < 1e-9
+    # (A, B) are what the filter steps: one period is one RK4 step of them
+    zf.state = [1e-4, -0.02]
+    dt = 1e-4
+    expected = rk4_step(lambda x, t: list(a @ x + b[:, 0] * 0.5), zf.state,
+                        0.0, dt)
+    zf.advance(0.5, dt)
+    assert zf.state == pytest.approx(expected, rel=1e-12)
 
 
 def test_zfilter_step_response_final_value():
@@ -63,14 +72,16 @@ def test_zfilter_step_response_final_value():
     dt = 1e-5
     z = 0.0
     for _ in range(round(0.2 / dt)):
-        z = zf.step(1.0, dt)
+        z = zf.output(1.0)
+        zf.advance(1.0, dt)
     assert z == pytest.approx(g[2](0.0) / char.delta(0.0), rel=1e-6)
 
 
 def test_zfilter_zero_in_zero_out():
     zf, _, _ = _standard_filter()
     for _ in range(100):
-        assert zf.step(0.0, 1e-4) == 0.0
+        assert zf.output(0.0) == 0.0
+        zf.advance(0.0, 1e-4)
 
 
 def test_zfilter_rejects_mismatched_polynomials():

@@ -210,6 +210,24 @@ def test_cli_bad_config_exits_1(tmp_path):
     assert cli_main(["run", str(missing), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("field,raw", [
+    ("dt", '"0.001"'),
+    ("duration", "1e400"),
+    ("window", "true"),
+    ("u_limit", "-5"),
+    ("seed", "-1"),
+    ("noise_amplitude", "NaN"),
+])
+def test_cli_bad_numeric_field_exits_1_naming_it(tmp_path, capsys, field, raw):
+    data = make_preset("tiny").to_dict()
+    data["noise_amplitude"] = 1e-6  # so that the seed is drawn from
+    del data[field]
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(data)[:-1] + f', "{field}": {raw}}}')
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
 def test_cli_divergence_exits_2(tmp_path):
     # step size far beyond the observer's stability limit blows the loop up
     data = make_preset("tiny").to_dict()
@@ -237,6 +255,25 @@ def test_cli_verify_failure_exits_3(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "ALL_CHECKS", (("rigged", failing_check),))
     assert cli_main(["verify"]) == 3
+
+
+def test_verify_checks_share_each_scenario_run(monkeypatch):
+    import esobank.verify as verify_mod
+
+    calls = []
+
+    def fake_audit(scn):
+        calls.append(scn["name"])
+        return {"ratios": {"etilde_1": 0.5, "ebar_1": 0.25}}
+
+    monkeypatch.setattr(verify_mod, "run_bound_audit", fake_audit)
+    monkeypatch.setattr(verify_mod, "run_bank_bound_audit",
+                        lambda: {"ebar_ratio": 0.125})
+    verify_mod._bound_audit_ratios.cache_clear()
+    assert verify_mod.check_estimation_error_bounds().measured == 0.5
+    assert verify_mod.check_tracking_error_bound().measured == 0.25
+    assert calls == [scn["name"] for scn in verify_mod.BOUND_SCENARIOS]
+    verify_mod._bound_audit_ratios.cache_clear()
 
 
 def test_cli_output_dir_from_config(tmp_path, monkeypatch):

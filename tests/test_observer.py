@@ -1,6 +1,5 @@
 """Extended state observers: update structure, drift-free tracking,
-disturbance convergence, scaled-error bookkeeping, and the estimation-error
-envelopes."""
+disturbance convergence, and the estimation-error envelopes."""
 
 import math
 
@@ -11,7 +10,6 @@ from scipy.linalg import expm
 from esobank.controller import ConstantReference
 from esobank.observer import (
     Leso,
-    ScaledError,
     bound_tail_coefficient,
     bound_tail_max,
     contraction_norm_profile,
@@ -28,8 +26,15 @@ def test_third_order_update_rows():
     omega = 700.0
     b = 3.25
     leso = Leso(2, 1, omega, b, e1_initial=0.3, initial_estimates=(0.1, -0.2))
+    a, b_col = leso.block.a, leso.block.b
+    assert a.tolist() == [[-3 * omega, 1.0, 0.0],
+                          [-3 * omega**2, 0.0, 1.0],
+                          [-omega**3, 0.0, 0.0]]
+    assert b_col.tolist() == [[0.0], [b], [0.0]]
+    # stepped relative to the held measurement, A xi + B u is the estimate
+    # dynamics
     e1, u = 0.9, 1.7
-    d = leso._deriv(leso.e_hat, e1, u)
+    d = a @ (np.array(leso.e_hat) - [e1, 0.0, 0.0]) + b_col[:, 0] * u
     innov = e1 - 0.3
     assert d[0] == pytest.approx(0.1 + 3 * omega * innov)
     assert d[1] == pytest.approx(-0.2 + 3 * omega**2 * innov + b * u)
@@ -84,17 +89,6 @@ def test_observer_divergence_flag():
         if leso.diverged:
             break
     assert leso.diverged
-
-
-def test_scaled_error_gamma_monotone():
-    rng = np.random.default_rng(3)
-    tracker = ScaledError(100.0, 3)
-    previous = 0.0
-    for _ in range(200):
-        tracker.update(rng.normal(size=3))
-        assert tracker.gamma >= previous
-        previous = tracker.gamma
-    assert tracker.scales == (1.0, 100.0, 10000.0)
 
 
 def test_tail_coefficients():
