@@ -6,10 +6,8 @@ desk-scale plants, and a simulation/verification harness.
 from .controller import (
     ConstantReference,
     IdealTrajectory,
-    MoveReference,
-    PolynomialReference,
     SingleEsoAdrc,
-    SinusoidReference,
+    SinusoidDisturbance,
     Supervisor,
     adrc_law,
     reference_from_config,
@@ -43,13 +41,8 @@ from .observer import (
 )
 from .plant import (
     ChainPlant,
-    ConstantDisturbance,
     FrictionParams,
     RfcPlant,
-    SinusoidDisturbance,
-    StepDisturbance,
-    StickSlipDisturbance,
-    SumDisturbance,
     disturbance_from_config,
 )
 from .polynomials import (

@@ -1,6 +1,6 @@
-"""Control side: reference signals with closed-form derivatives, the ideal
-closed-loop trajectory, the disturbance-cancelling state-feedback law, and
-the supervisor that runs a parallel observer bank with argmin-|z| switching.
+"""Control side: the reference signal kinds, the ideal closed-loop
+trajectory, the disturbance-cancelling state-feedback law, and the supervisor
+that runs a parallel observer bank with argmin-|z| switching.
 
 Every observer in the bank receives every measurement and the *applied*
 control at every period; the selected observer only decides which estimates
@@ -14,242 +14,28 @@ import logging
 import math
 from collections import namedtuple
 
-import numpy as np
-
 from .errors import ConfigError, DivergenceError
 from .evaluator import SwitchIndex, ZFilter
 from .integrate import rk4_step
 from .polynomials import build_g_family
+from .signals import Constant, Move, Polynomial, Sinusoid, signal_from_config
 
 log = logging.getLogger(__name__)
 
 
-# ---------------------------------------------------------------------------
-# Reference signals. value(t) is r1(t); derivative(t, k) is r1^(k)(t);
-# sup_derivative(k) bounds |r1^(k)| over all t (inf when unbounded).
-# ---------------------------------------------------------------------------
+# The reference kinds; the aliases below exist because perfbench/ wraps
+# these methods by class name, and ROADMAP item 7 deletes them.
+ConstantReference = Constant
+PolynomialReference = Polynomial
+MoveReference = Move
+SinusoidReference = SinusoidDisturbance = Sinusoid
 
-
-class ConstantReference:
-    kind = "constant"
-
-    def __init__(self, value=0.0):
-        self._value = float(value)
-
-    def value(self, t):
-        return self._value
-
-    def derivative(self, t, order):
-        return self._value if order == 0 else 0.0
-
-    def derivatives(self, t, count):
-        out = [0.0] * count
-        if count:
-            out[0] = self._value
-        return out
-
-    def sup_derivative(self, order):
-        return abs(self._value) if order == 0 else 0.0
-
-    def to_config(self):
-        return {"kind": self.kind, "value": self._value}
-
-
-class PolynomialReference:
-    """r1(t) = sum_i coeffs[i] t^i (covers setpoint ramps)."""
-
-    kind = "poly"
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(float(c) for c in coeffs)
-
-    def value(self, t):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def derivative(self, t, order):
-        total = 0.0
-        for i in range(order, len(self.coeffs)):
-            fact = 1
-            for j in range(order):
-                fact *= i - j
-            total += fact * self.coeffs[i] * t ** (i - order)
-        return total
-
-    def derivatives(self, t, count):
-        return [self.derivative(t, k) for k in range(count)]
-
-    def sup_derivative(self, order):
-        degree = len(self.coeffs) - 1
-        if order > degree:
-            return 0.0
-        if order == degree:
-            fact = 1
-            for j in range(order):
-                fact *= degree - j
-            return abs(fact * self.coeffs[degree])
-        return math.inf
-
-    def to_config(self):
-        return {"kind": self.kind, "coeffs": list(self.coeffs)}
-
-
-class MoveReference:
-    """Point-to-point motion profile: minimum-jerk segments between holds.
-
-    Each segment is {"t_start", "t_move", "target"}; between segments the
-    reference holds the last target. The profile is s(tau) = 10 tau^3 -
-    15 tau^4 + 6 tau^5, so position, velocity and acceleration are continuous
-    and all derivatives stay bounded (setpoint steps would not be).
-    """
-
-    kind = "move"
-    _PROFILE = (0.0, 0.0, 0.0, 10.0, -15.0, 6.0)
-
-    def __init__(self, start, segments):
-        self.start = float(start)
-        self.segments = []
-        last_end = -math.inf
-        level = self.start
-        for idx, seg in enumerate(segments):
-            t0 = float(seg["t_start"])
-            span = float(seg["t_move"])
-            target = float(seg["target"])
-            if span <= 0:
-                raise ConfigError(f"reference.segments[{idx}].t_move",
-                                  "must be positive")
-            if t0 < last_end:
-                raise ConfigError(f"reference.segments[{idx}].t_start",
-                                  "segments overlap")
-            self.segments.append((t0, span, level, target))
-            level = target
-            last_end = t0 + span
-        self._deriv_coeffs = [self._PROFILE]
-        for order in range(1, 6):
-            prev = self._deriv_coeffs[order - 1]
-            self._deriv_coeffs.append(
-                tuple(i * c for i, c in enumerate(prev))[1:]
-            )
-
-    def _segment_at(self, t):
-        level = self.start
-        for t0, span, from_level, target in self.segments:
-            if t < t0:
-                return None, level
-            if t <= t0 + span:
-                return (t0, span, from_level, target), level
-            level = target
-        return None, level
-
-    def derivative(self, t, order):
-        seg, level = self._segment_at(t)
-        if seg is None:
-            return level if order == 0 else 0.0
-        t0, span, from_level, target = seg
-        if order > 5:
-            return 0.0
-        tau = (t - t0) / span
-        acc = 0.0
-        for c in reversed(self._deriv_coeffs[order]):
-            acc = acc * tau + c
-        value = acc * (target - from_level) / span**order
-        if order == 0:
-            value += from_level
-        return value
-
-    def value(self, t):
-        return self.derivative(t, 0)
-
-    def derivatives(self, t, count):
-        return [self.derivative(t, k) for k in range(count)]
-
-    def sup_derivative(self, order):
-        if order == 0:
-            levels = [self.start] + [seg[3] for seg in self.segments]
-            return max(abs(v) for v in levels)
-        if order > 5:
-            return 0.0
-        # |s^(k)| peaks on [0, 1] at an end or at a real root of s^(k+1);
-        # a complex root's real part, clipped into [0, 1], is a harmless
-        # extra candidate.
-        shape = np.polynomial.Polynomial(self._deriv_coeffs[order])
-        taus = [0.0, 1.0] + [min(max(r.real, 0.0), 1.0)
-                             for r in shape.deriv().roots()]
-        peak = float(max(abs(shape(tau)) for tau in taus))
-        return max((peak * abs(target - from_level) / span**order
-                    for _, span, from_level, target in self.segments),
-                   default=0.0)
-
-    def to_config(self):
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "segments": [
-                {"t_start": t0, "t_move": span, "target": target}
-                for t0, span, _, target in self.segments
-            ],
-        }
-
-
-class SinusoidReference:
-    kind = "sinusoid"
-
-    def __init__(self, amplitude, omega, phase=0.0, offset=0.0):
-        self.amplitude = float(amplitude)
-        self.omega = float(omega)
-        self.phase = float(phase)
-        self.offset = float(offset)
-
-    def value(self, t):
-        return self.offset + self.amplitude * math.sin(self.omega * t + self.phase)
-
-    def derivative(self, t, order):
-        if order == 0:
-            return self.value(t)
-        return self.amplitude * self.omega**order * math.sin(
-            self.omega * t + self.phase + order * math.pi / 2.0
-        )
-
-    def derivatives(self, t, count):
-        return [self.derivative(t, k) for k in range(count)]
-
-    def sup_derivative(self, order):
-        if order == 0:
-            return abs(self.offset) + abs(self.amplitude)
-        return abs(self.amplitude) * self.omega**order
-
-    def to_config(self):
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "omega": self.omega,
-            "phase": self.phase,
-            "offset": self.offset,
-        }
-
-
-_REFERENCE_KINDS = {
-    "constant": ConstantReference,
-    "poly": PolynomialReference,
-    "sinusoid": SinusoidReference,
-    "move": MoveReference,
-}
+REFERENCE_KINDS = {cls.kind: cls
+                   for cls in (Constant, Polynomial, Sinusoid, Move)}
 
 
 def reference_from_config(cfg):
-    if not isinstance(cfg, dict):
-        raise ConfigError("reference", "expected an object")
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    cls = _REFERENCE_KINDS.get(kind)
-    if cls is None:
-        raise ConfigError("reference.kind", f"unknown kind {kind!r}")
-    try:
-        return cls(**cfg)
-    except TypeError as exc:
-        raise ConfigError("reference", str(exc)) from None
+    return signal_from_config(cfg, "reference", REFERENCE_KINDS)
 
 
 def reference_sup_bound(ref, max_order):

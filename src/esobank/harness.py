@@ -15,16 +15,18 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .controller import IdealTrajectory, Supervisor, reference_from_config
-from .errors import ConfigError
+from .errors import (ConfigError, DivergenceError, finite_number,
+                     finite_numbers, integer)
 from .observer import Leso
-from .plant import ChainPlant, FrictionParams, RfcPlant, disturbance_from_config
+from .plant import (DISTURBANCE_KINDS, ChainPlant, FrictionParams, RfcPlant,
+                    disturbance_from_config)
 from .polynomials import PoleSpec, PolynomialError, char_poly
+from .signals import signal_from_config
 
 
 @dataclass
@@ -81,27 +83,45 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
+def _check_plant_numbers(plant_cfg):
+    """Every number of a plant config must be finite; the plant
+    constructors check the ranges."""
+    for key, value in plant_cfg.items():
+        field = f"plant.{key}"
+        if key == "n":
+            integer(value, field, 1)
+        elif key == "x0":
+            finite_numbers(value, field)
+        elif key == "friction":
+            if not isinstance(value, dict):
+                raise ConfigError(field, "expected an object")
+            for name, number in value.items():
+                finite_number(number, f"{field}.{name}")
+        elif key not in ("kind", "disturbance", "extra_disturbance"):
+            finite_number(value, field)
+
+
 def build_plant(cfg):
     if not isinstance(cfg.plant, dict):
         raise ConfigError("plant", "expected an object")
+    _check_plant_numbers(cfg.plant)
     plant_cfg = dict(cfg.plant)
     kind = plant_cfg.pop("kind", None)
-    if kind == "chain":
-        dist = disturbance_from_config(plant_cfg.pop("disturbance", None))
-        try:
+    try:
+        if kind == "chain":
+            dist = disturbance_from_config(plant_cfg.pop("disturbance", None))
             return ChainPlant(disturbance=dist, **plant_cfg)
-        except TypeError as exc:
-            raise ConfigError("plant", str(exc)) from None
-    if kind == "rfc":
-        friction_cfg = plant_cfg.pop("friction", None)
-        friction = FrictionParams(**friction_cfg) if friction_cfg else None
-        extra_cfg = plant_cfg.pop("extra_disturbance", None)
-        extra = disturbance_from_config(extra_cfg) if extra_cfg else None
-        try:
+        if kind == "rfc":
+            friction_cfg = plant_cfg.pop("friction", None)
+            friction = FrictionParams(**friction_cfg) if friction_cfg else None
+            extra_cfg = plant_cfg.pop("extra_disturbance", None)
+            extra = (signal_from_config(extra_cfg, "plant.extra_disturbance",
+                                        DISTURBANCE_KINDS)
+                     if extra_cfg else None)
             return RfcPlant(friction=friction, extra_disturbance=extra,
                             **plant_cfg)
-        except TypeError as exc:
-            raise ConfigError("plant", str(exc)) from None
+    except TypeError as exc:
+        raise ConfigError("plant", str(exc)) from None
     raise ConfigError("plant.kind", f"unknown kind {kind!r}")
 
 
@@ -134,15 +154,14 @@ def build_bank(cfg, n, b, e1_initial):
             raise ConfigError(
                 f"observers[{idx}]", f"unknown keys {sorted(ospec)}"
             )
-        if not isinstance(order, int) or order <= n:
-            raise ConfigError(
-                f"observers[{idx}].order",
-                f"order {order!r} must be an integer above the plant order {n}",
-            )
-        if omega_o is None or not omega_o > 0:
+        integer(order, f"observers[{idx}].order", n + 1)
+        if not finite_number(omega_o, f"observers[{idx}].omega_o") > 0:
             raise ConfigError(
                 f"observers[{idx}].omega_o", f"bandwidth {omega_o!r} must be positive"
             )
+        finite_numbers(initial, f"observers[{idx}].initial_estimates")
+        if beta is not None:
+            finite_numbers(beta, f"observers[{idx}].beta")
         try:
             bank.append(
                 Leso(
@@ -162,26 +181,21 @@ def build_bank(cfg, n, b, e1_initial):
     return bank
 
 
-def _finite_real(value):
-    """True for a finite int or float that is not a bool."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _validate_numerics(cfg):
     for name in ("dt", "duration", "u_limit"):
         value = getattr(cfg, name)
         if name == "u_limit" and value is None:
             continue
-        if not (_finite_real(value) and value > 0):
-            raise ConfigError(name, f"{value!r} must be a finite positive number")
-    if not (_finite_real(cfg.noise_amplitude) and cfg.noise_amplitude >= 0):
-        raise ConfigError("noise_amplitude", f"{cfg.noise_amplitude!r} must "
-                          "be a finite nonnegative number")
-    for name, least in (("window", 1), ("seed", 0)):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(name, f"{value!r} must be an integer >= {least}")
+        if not finite_number(value, name) > 0:
+            raise ConfigError(name, f"{value!r} must be positive")
+    if cfg.duration / cfg.dt <= 0.5:  # the run takes round() of it steps
+        raise ConfigError("duration", f"{cfg.duration!r} is shorter than one "
+                          f"step of dt = {cfg.dt!r}")
+    if not finite_number(cfg.noise_amplitude, "noise_amplitude") >= 0:
+        raise ConfigError("noise_amplitude",
+                          f"{cfg.noise_amplitude!r} must be nonnegative")
+    integer(cfg.window, "window", 1)
+    integer(cfg.seed, "seed", 0)
     if cfg.iae_method not in ("rectangle", "trapezoid"):
         raise ConfigError("iae_method", f"unknown method {cfg.iae_method!r}")
 
@@ -402,8 +416,13 @@ def _simulate(cfg, observer_index=None):
         trace.append(rec[:8] + rec.etilde1 + rec.z + rec.accumulators
                      + (lumped,))
 
-    closed_loop(measured, controller, round(cfg.duration / cfg.dt), cfg.dt,
-                record)
+    try:
+        closed_loop(measured, controller, round(cfg.duration / cfg.dt), cfg.dt,
+                    record)
+    except (ArithmeticError, ValueError) as exc:
+        # a float overflow, or a math function given inf: a signal or the
+        # plant has left the range of floats
+        raise DivergenceError(f"{label} left the range of floats: {exc}") from None
     return trace, controller
 
 

@@ -1,10 +1,21 @@
-"""Fixed-step classical Runge-Kutta integration on plain float lists.
+"""Fixed-step classical Runge-Kutta integration on plain float lists, and
+the left-to-right sum the rest of the package uses on floats.
 
 State vectors here are small (2-6 entries), so plain Python lists beat
 numpy arrays on per-step overhead by a wide margin.
 """
 
 import numpy as np
+
+
+def ordered_sum(values):
+    """Sum from left to right, as ``sum()`` did before Python 3.12; from 3.12
+    on ``sum()`` compensates float rounding, so its results depend on the
+    interpreter."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def rk4_step(deriv, y, t, dt):

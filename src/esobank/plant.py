@@ -15,188 +15,18 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DivergenceError
 from .integrate import rk4_step
+from .signals import (ConstantLevel, Sinusoid, Step, StickSlip, Sum,
+                      signal_from_config)
 
-_TWO_PI = 2.0 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# Disturbance signals
-#
-# Each signal is callable as f(x, t). Time-only kinds also expose exact
-# derivatives and derivative sup-bounds, which the verification scenarios use
-# as ground truth. A step violates smoothness at the jump instant and is
-# therefore excluded from bound checks; its ``derivative_bound`` reports the
-# almost-everywhere value (0).
-# ---------------------------------------------------------------------------
-
-
-class ConstantDisturbance:
-    kind = "constant"
-
-    def __init__(self, level=0.0):
-        self.level = float(level)
-
-    def __call__(self, x, t):
-        return self.level
-
-    def derivative(self, t, order):
-        return self.level if order == 0 else 0.0
-
-    def derivative_bound(self, order):
-        return abs(self.level) if order == 0 else 0.0
-
-    def to_config(self):
-        return {"kind": self.kind, "level": self.level}
-
-
-class StepDisturbance:
-    kind = "step"
-
-    def __init__(self, t_step, amplitude, base=0.0):
-        self.t_step = float(t_step)
-        self.amplitude = float(amplitude)
-        self.base = float(base)
-
-    def __call__(self, x, t):
-        return self.base + (self.amplitude if t >= self.t_step else 0.0)
-
-    def derivative(self, t, order):
-        if order == 0:
-            return self(None, t)
-        return 0.0  # almost everywhere; undefined at the jump itself
-
-    def derivative_bound(self, order):
-        if order == 0:
-            return abs(self.base) + abs(self.amplitude)
-        return 0.0
-
-    def to_config(self):
-        return {
-            "kind": self.kind,
-            "t_step": self.t_step,
-            "amplitude": self.amplitude,
-            "base": self.base,
-        }
-
-
-class SinusoidDisturbance:
-    kind = "sinusoid"
-
-    def __init__(self, amplitude, omega, phase=0.0, offset=0.0):
-        self.amplitude = float(amplitude)
-        self.omega = float(omega)
-        self.phase = float(phase)
-        self.offset = float(offset)
-
-    def __call__(self, x, t):
-        return self.offset + self.amplitude * math.sin(self.omega * t + self.phase)
-
-    def derivative(self, t, order):
-        if order == 0:
-            return self(None, t)
-        return self.amplitude * self.omega**order * math.sin(
-            self.omega * t + self.phase + order * math.pi / 2.0
-        )
-
-    def derivative_bound(self, order):
-        if order == 0:
-            return abs(self.offset) + abs(self.amplitude)
-        return abs(self.amplitude) * self.omega**order
-
-    def to_config(self):
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "omega": self.omega,
-            "phase": self.phase,
-            "offset": self.offset,
-        }
-
-
-class SumDisturbance:
-    kind = "sum"
-
-    def __init__(self, terms):
-        self.terms = list(terms)
-
-    def __call__(self, x, t):
-        return sum(term(x, t) for term in self.terms)
-
-    def derivative(self, t, order):
-        return sum(term.derivative(t, order) for term in self.terms)
-
-    def derivative_bound(self, order):
-        return sum(term.derivative_bound(order) for term in self.terms)
-
-    def to_config(self):
-        return {"kind": self.kind, "terms": [t.to_config() for t in self.terms]}
-
-
-class StickSlipDisturbance:
-    """Smooth friction-like disturbance acting on the velocity state of a
-    chain plant: Stribeck-weighted Coulomb force through a tanh regulariser
-    plus viscous drag. State-dependent, so it has no closed-form time
-    derivatives; bound checks use the time-only kinds instead.
-    """
-
-    kind = "stick_slip"
-
-    def __init__(self, f_coulomb=8.0, f_static=12.0, v_stribeck=0.002,
-                 sigma_viscous=10.0, v_smooth=1e-4):
-        self.f_coulomb = float(f_coulomb)
-        self.f_static = float(f_static)
-        self.v_stribeck = float(v_stribeck)
-        self.sigma_viscous = float(sigma_viscous)
-        self.v_smooth = float(v_smooth)
-
-    def __call__(self, x, t):
-        v = x[1]
-        level = self.f_coulomb + (self.f_static - self.f_coulomb) * math.exp(
-            -((v / self.v_stribeck) ** 2)
-        )
-        return -level * math.tanh(v / self.v_smooth) - self.sigma_viscous * v
-
-    def derivative(self, t, order):
-        raise ValueError("stick-slip disturbance has no closed-form time derivatives")
-
-    def derivative_bound(self, order):
-        raise ValueError("stick-slip disturbance has no derivative bounds")
-
-    def to_config(self):
-        return {
-            "kind": self.kind,
-            "f_coulomb": self.f_coulomb,
-            "f_static": self.f_static,
-            "v_stribeck": self.v_stribeck,
-            "sigma_viscous": self.sigma_viscous,
-            "v_smooth": self.v_smooth,
-        }
-
-
-_DISTURBANCE_KINDS = {
-    "constant": ConstantDisturbance,
-    "step": StepDisturbance,
-    "sinusoid": SinusoidDisturbance,
-    "stick_slip": StickSlipDisturbance,
-}
+DISTURBANCE_KINDS = {cls.kind: cls
+                     for cls in (ConstantLevel, Step, Sinusoid, StickSlip, Sum)}
 
 
 def disturbance_from_config(cfg):
+    """The chain plant's disturbance; no config means none."""
     if cfg is None:
-        return ConstantDisturbance(0.0)
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    if kind == "sum":
-        return SumDisturbance(
-            disturbance_from_config(term) for term in cfg.get("terms", [])
-        )
-    cls = _DISTURBANCE_KINDS.get(kind)
-    if cls is None:
-        raise ConfigError("plant.disturbance.kind", f"unknown kind {kind!r}")
-    try:
-        return cls(**cfg)
-    except TypeError as exc:
-        raise ConfigError("plant.disturbance", str(exc)) from None
+        return ConstantLevel()
+    return signal_from_config(cfg, "plant.disturbance", DISTURBANCE_KINDS)
 
 
 def _check_finite(values, context):
@@ -219,7 +49,7 @@ class ChainPlant:
         self.x = [0.0] * self.n if x0 is None else [float(v) for v in x0]
         if len(self.x) != self.n:
             raise ConfigError("plant.x0", f"expected {self.n} entries, got {len(self.x)}")
-        self.disturbance = disturbance if disturbance is not None else ConstantDisturbance(0.0)
+        self.disturbance = disturbance if disturbance is not None else ConstantLevel()
         self.t = 0.0
 
     @property

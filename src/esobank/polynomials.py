@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .integrate import ordered_sum
+
 # Distinct poles closer than this (relative) are rejected rather than merged;
 # a near-duplicate almost always means a mistyped configuration.
 POLE_SEPARATION_RTOL = 1e-9
@@ -196,7 +198,7 @@ def build_g_family(gain_row, beta, n):
         family.append(Poly(tuple(k[n - i + j] for j in range(i + 1))))
     top = [0] * (n + 1)
     for i in range(n + 1):
-        top[n - i] = sum(b[j] * k[n - i + j] for j in range(i + 1))
+        top[n - i] = ordered_sum(b[j] * k[n - i + j] for j in range(i + 1))
     family.append(Poly(tuple(top)))
     return tuple(family)
 

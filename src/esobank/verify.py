@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import (
-    ConstantReference,
     IdealTrajectory,
     Supervisor,
     adrc_law,
@@ -59,7 +58,7 @@ from .observer import (
     bound_tail_max,
     contraction_norm_profile,
 )
-from .plant import ChainPlant, SinusoidDisturbance
+from .plant import ChainPlant
 from .polynomials import (
     PoleSpec,
     Poly,
@@ -70,6 +69,7 @@ from .polynomials import (
     reconstruct_fraction,
     residues,
 )
+from .signals import Constant, Sinusoid
 
 IDENTITY_TOL = 1e-2          # relative to sup|ebar1|
 DECAY_SLOPE_TARGET = -150.0
@@ -117,8 +117,8 @@ def _sine_loop(poles, setpoint, b, amp, omega_d, dt, observers, window=20):
     Returns (plant, supervisor, disturbance).
     """
     char = char_poly(PoleSpec(tuple(poles)))
-    ref = ConstantReference(setpoint)
-    dist = SinusoidDisturbance(amp, omega_d)
+    ref = Constant(setpoint)
+    dist = Sinusoid(amp, omega_d)
     plant = ChainPlant(2, b, x0=[setpoint, 0.0], disturbance=dist)
     e1_0 = plant.y - ref.value(0.0)
     bank = [
@@ -253,7 +253,7 @@ def run_bound_audit(scn, poles=((150.0, 2),), setpoint=10.0, b=3.25,
         # exactly zero and the bound reduces to its tail term
         leso.e_hat[1:] = _true_errors(plant, ref, dist, 0.0, 0.0, order)[1:]
 
-    h1 = max(dist.derivative_bound(k) for k in range(1, order - 1))
+    h1 = max(dist.sup_derivative(k) for k in range(1, order - 1))
     h2 = reference_sup_bound(ref, order)
     steps = round(scn["duration"] / dt)
     scales = [omega_o**i for i in range(order)]

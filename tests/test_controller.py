@@ -6,12 +6,8 @@ import math
 import pytest
 
 from esobank.controller import (
-    ConstantReference,
     IdealTrajectory,
-    MoveReference,
-    PolynomialReference,
     SingleEsoAdrc,
-    SinusoidReference,
     Supervisor,
     adrc_law,
     reference_from_config,
@@ -19,8 +15,9 @@ from esobank.controller import (
 )
 from esobank.errors import ConfigError, DivergenceError
 from esobank.observer import Leso
-from esobank.plant import ChainPlant, SinusoidDisturbance
+from esobank.plant import ChainPlant
 from esobank.polynomials import PoleSpec, char_poly
+from esobank.signals import Constant, Move, Polynomial, Sinusoid
 from esobank.verify import bitwise_single_eso, single_eso_oracle
 
 
@@ -30,7 +27,7 @@ from esobank.verify import bitwise_single_eso, single_eso_oracle
 
 
 def test_constant_reference():
-    ref = ConstantReference(10.0)
+    ref = Constant(10.0)
     assert ref.value(3.0) == 10.0
     assert ref.derivatives(1.0, 4) == [10.0, 0.0, 0.0, 0.0]
     assert ref.sup_derivative(0) == 10.0
@@ -39,7 +36,7 @@ def test_constant_reference():
 
 
 def test_sinusoid_reference_derivatives():
-    ref = SinusoidReference(2.0, 3.0, phase=0.3, offset=1.0)
+    ref = Sinusoid(2.0, 3.0, phase=0.3, offset=1.0)
     for order in range(4):
         t = 0.42
         fd = (ref.derivative(t + 1e-6, order) - ref.derivative(t - 1e-6, order)) / 2e-6
@@ -48,7 +45,7 @@ def test_sinusoid_reference_derivatives():
 
 
 def test_polynomial_reference():
-    ref = PolynomialReference((1.0, 2.0, 3.0))  # 1 + 2t + 3t^2
+    ref = Polynomial((1.0, 2.0, 3.0))  # 1 + 2t + 3t^2
     assert ref.value(2.0) == pytest.approx(17.0)
     assert ref.derivative(2.0, 1) == pytest.approx(14.0)
     assert ref.derivative(2.0, 2) == pytest.approx(6.0)
@@ -58,7 +55,7 @@ def test_polynomial_reference():
 
 
 def test_move_reference_profile():
-    ref = MoveReference(0.0, [{"t_start": 0.1, "t_move": 0.2, "target": 5.0}])
+    ref = Move(0.0, [{"t_start": 0.1, "t_move": 0.2, "target": 5.0}])
     assert ref.value(0.0) == 0.0
     assert ref.value(0.1) == pytest.approx(0.0)
     assert ref.value(0.2) == pytest.approx(2.5)  # midpoint of minimum jerk
@@ -79,30 +76,30 @@ def test_move_reference_profile():
 def test_move_reference_sup_derivative_is_the_exact_peak():
     # unit move over unit time: the peaks of s^(k) on [0, 1] in closed form;
     # the acceleration peak sits off any uniform grid, at tau = 1/2 - sqrt(3)/6
-    ref = MoveReference(0.0, [{"t_start": 0.0, "t_move": 1.0, "target": 1.0}])
+    ref = Move(0.0, [{"t_start": 0.0, "t_move": 1.0, "target": 1.0}])
     exact = {1: 1.875, 2: 10.0 / math.sqrt(3.0), 3: 60.0, 4: 360.0, 5: 720.0}
     for order, peak in exact.items():
         assert ref.sup_derivative(order) == pytest.approx(peak, rel=1e-12)
     # span and amplitude scale the order-k bound by |target - start| / span^k
-    scaled = MoveReference(1.0, [{"t_start": 0.3, "t_move": 0.5, "target": -2.0}])
+    scaled = Move(1.0, [{"t_start": 0.3, "t_move": 0.5, "target": -2.0}])
     assert scaled.sup_derivative(2) == pytest.approx(3.0 * exact[2] / 0.25,
                                                      rel=1e-12)
 
 
 def test_move_reference_multi_segment_and_validation():
-    ref = MoveReference(0.0, [
+    ref = Move(0.0, [
         {"t_start": 0.0, "t_move": 0.1, "target": 1.0},
         {"t_start": 0.5, "t_move": 0.1, "target": -1.0},
     ])
     assert ref.value(0.3) == 1.0
     assert ref.value(0.8) == -1.0
     with pytest.raises(ConfigError):
-        MoveReference(0.0, [
+        Move(0.0, [
             {"t_start": 0.0, "t_move": 0.3, "target": 1.0},
             {"t_start": 0.1, "t_move": 0.1, "target": 2.0},
         ])
     with pytest.raises(ConfigError):
-        MoveReference(0.0, [{"t_start": 0.0, "t_move": -1.0, "target": 1.0}])
+        Move(0.0, [{"t_start": 0.0, "t_move": -1.0, "target": 1.0}])
 
 
 def test_reference_config_round_trip():
@@ -128,7 +125,7 @@ def test_reference_config_round_trip():
 def test_ideal_trajectory_holds_equilibrium():
     char = char_poly(PoleSpec(((150.0, 2),)))
     traj = IdealTrajectory(char.gain_row, [10.0, 0.0])
-    ref = ConstantReference(10.0)
+    ref = Constant(10.0)
     for _ in range(200):
         traj.step(ref, 1e-4)
     assert traj.x == [10.0, 0.0]
@@ -138,7 +135,7 @@ def test_ideal_trajectory_critically_damped_settling():
     # offset start, constant reference: e1*(t) = (1 + 150 t) exp(-150 t),
     # which passes 2% at about 0.039 s
     char = char_poly(PoleSpec(((150.0, 2),)))
-    ref = ConstantReference(10.0)
+    ref = Constant(10.0)
     traj = IdealTrajectory(char.gain_row, [11.0, 0.0])
     dt = 1e-5
     at_35ms = at_45ms = None
@@ -157,7 +154,7 @@ def test_ideal_trajectory_critically_damped_settling():
 
 def test_ideal_trajectory_tracks_sinusoid_from_matched_start():
     # starting exactly on the reference trajectory keeps the ideal error zero
-    ref = SinusoidReference(1.0, 5.0)
+    ref = Sinusoid(1.0, 5.0)
     char = char_poly(PoleSpec(((150.0, 2),)))
     traj = IdealTrajectory(char.gain_row, [ref.value(0.0), ref.derivative(0.0, 1)])
     for k in range(2000):
@@ -195,7 +192,7 @@ def test_perfect_estimates_keep_output_on_ideal_trajectory():
     # feeding the law the true error state reproduces the ideal closed loop:
     # from an equilibrium start the tracking deviation stays exactly zero
     char = char_poly(PoleSpec(((150.0, 2),)))
-    ref = ConstantReference(10.0)
+    ref = Constant(10.0)
     plant = ChainPlant(2, 3.25, x0=[10.0, 0.0])
     traj = IdealTrajectory(char.gain_row, [10.0, 0.0])
     for _ in range(500):
@@ -210,7 +207,7 @@ def test_perfect_estimates_dynamic_transient():
     # with an offset start the true-state law still shadows the ideal
     # trajectory to discretization accuracy
     char = char_poly(PoleSpec(((150.0, 2),)))
-    ref = ConstantReference(10.0)
+    ref = Constant(10.0)
     plant = ChainPlant(2, 3.25, x0=[0.0, 0.0])
     traj = IdealTrajectory(char.gain_row, [0.0, 0.0])
     dt = 1e-5
@@ -231,9 +228,9 @@ def test_perfect_estimates_dynamic_transient():
 
 def _make_loop(observers, window=20, dt=1e-4, inject=None):
     char = char_poly(PoleSpec(((150.0, 2),)))
-    ref = ConstantReference(10.0)
+    ref = Constant(10.0)
     plant = ChainPlant(2, 3.25, x0=[10.0, 0.0],
-                       disturbance=SinusoidDisturbance(4.0, 2 * math.pi))
+                       disturbance=Sinusoid(4.0, 2 * math.pi))
     e1_0 = plant.y - ref.value(0.0)
     bank = []
     for j, (order, omega) in enumerate(observers):
@@ -332,9 +329,9 @@ def test_supervisor_drops_diverged_observer_and_continues():
     # up in the background (it keeps integrating the applied input); the
     # supervisor must drop it and carry on with the healthy one
     char = char_poly(PoleSpec(((150.0, 2),)))
-    ref = ConstantReference(10.0)
+    ref = Constant(10.0)
     plant = ChainPlant(2, 3.25, x0=[10.0, 0.0],
-                       disturbance=SinusoidDisturbance(4.0, 2 * math.pi))
+                       disturbance=Sinusoid(4.0, 2 * math.pi))
     healthy = Leso(2, 1, 1500.0, 3.25, e1_initial=0.0)
     unstable = Leso(2, 1, 100.0, 3.25, e1_initial=0.0,
                     initial_estimates=(0.0, 1000.0),
@@ -351,7 +348,7 @@ def test_supervisor_raises_when_every_observer_diverges():
     # clamp the drive so the plant stays bounded while the only observer
     # destroys itself; the supervisor must refuse to continue
     char = char_poly(PoleSpec(((150.0, 2),)))
-    ref = ConstantReference(10.0)
+    ref = Constant(10.0)
     plant = ChainPlant(2, 3.25, x0=[10.0, 0.0])
     bad = Leso(2, 1, 100.0, 3.25, e1_initial=0.0,
                initial_estimates=(0.0, 1.0), beta=(-1e4, -1e8, -1e12))
@@ -372,5 +369,5 @@ def test_supervisor_clamps_control_when_configured():
 def test_supervisor_rejects_empty_bank():
     char = char_poly(PoleSpec(((150.0, 2),)))
     with pytest.raises(ConfigError):
-        Supervisor(char, 3.25, ConstantReference(0.0),
+        Supervisor(char, 3.25, Constant(0.0),
                    IdealTrajectory(char.gain_row, [0.0, 0.0]), [], 1e-4)

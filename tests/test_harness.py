@@ -217,6 +217,7 @@ def test_cli_bad_config_exits_1(tmp_path):
     ("u_limit", "-5"),
     ("seed", "-1"),
     ("noise_amplitude", "NaN"),
+    ("duration", "0.0005"),  # under one step of dt = 1e-3
 ])
 def test_cli_bad_numeric_field_exits_1_naming_it(tmp_path, capsys, field, raw):
     data = make_preset("tiny").to_dict()
@@ -224,6 +225,62 @@ def test_cli_bad_numeric_field_exits_1_naming_it(tmp_path, capsys, field, raw):
     del data[field]
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(data)[:-1] + f', "{field}": {raw}}}')
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+_SINE = {"kind": "sinusoid", "amplitude": 1.0, "omega": 2.0}
+_MOVE = {"kind": "move", "start": 0.0,
+         "segments": [{"t_start": 0.0, "t_move": 0.1, "target": 1.0}]}
+
+
+@pytest.mark.parametrize("section,body,field", [
+    # signals, under the reference and under the chain plant's disturbance
+    ("reference", {**_SINE, "amplitude": "abc"}, "reference.amplitude"),
+    ("reference", {**_SINE, "amplitude": "3"}, "reference.amplitude"),
+    ("reference", {"kind": "constant", "value": math.nan}, "reference.value"),
+    ("reference", {"kind": "poly", "coeffs": "12"}, "reference.coeffs"),
+    ("reference", {**_MOVE, "segments": 5}, "reference.segments"),
+    ("reference", {**_MOVE, "segments": [{"t_move": 0.1, "target": 1.0}]},
+     "reference.segments[0].t_start"),
+    ("disturbance", {**_SINE, "amplitude": "abc"},
+     "plant.disturbance.amplitude"),
+    ("disturbance", 5, "plant.disturbance"),
+    ("disturbance", {"kind": "sum", "terms": [5]},
+     "plant.disturbance.terms[0]"),
+    ("disturbance", {"kind": "sum", "terms": [], "scale": 2.0},
+     "plant.disturbance.scale"),
+    ("disturbance", {"kind": "step", "t_step": 0.0, "amplitude": math.inf},
+     "plant.disturbance.amplitude"),
+    # plants
+    ("plant", {"kind": "chain", "n": 2, "b": "3.25"}, "plant.b"),
+    ("plant", {"kind": "chain", "n": 2.5, "b": 3.25}, "plant.n"),
+    ("plant", {"kind": "chain", "n": 2, "b": 3.25, "x0": [0.0, math.nan]},
+     "plant.x0[1]"),
+    ("plant", {"kind": "rfc", "m_s": "2"}, "plant.m_s"),
+    ("plant", {"kind": "rfc", "m_f": math.nan}, "plant.m_f"),
+    ("plant", {"kind": "rfc", "k": True}, "plant.k"),
+    ("plant", {"kind": "rfc", "c": math.inf}, "plant.c"),
+    ("plant", {"kind": "rfc", "ka_ks": [6.5]}, "plant.ka_ks"),
+    ("plant", {"kind": "rfc", "friction": {"f_static": "12"}},
+     "plant.friction.f_static"),
+    # observers
+    ("observers", [{"order": 3, "omega_o": "300"}], "observers[0].omega_o"),
+    ("observers", [{"order": 3.0, "omega_o": 300.0}], "observers[0].order"),
+    ("observers", [{"order": 3, "omega_o": 300.0, "initial_estimates": [1e400]}],
+     "observers[0].initial_estimates[0]"),
+    ("observers", [{"order": 3, "omega_o": 300.0, "beta": [1.0, 2.0, "3"]}],
+     "observers[0].beta[2]"),
+])
+def test_cli_bad_nested_field_exits_1_naming_it(tmp_path, capsys, section,
+                                                 body, field):
+    data = make_preset("tiny").to_dict()
+    if section == "disturbance":
+        data["plant"]["disturbance"] = body
+    else:
+        data[section] = body
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(data))
     assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
     assert f"config error: {field}:" in capsys.readouterr().err
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from esobank.controller import ConstantReference
 from esobank.observer import (
     Leso,
     bound_tail_coefficient,
@@ -18,8 +17,9 @@ from esobank.observer import (
     inf_norm,
     scaled_error_bound,
 )
-from esobank.plant import ChainPlant, ConstantDisturbance, SinusoidDisturbance
+from esobank.plant import ChainPlant
 from esobank.polynomials import leso_gains
+from esobank.signals import Constant, Sinusoid
 
 
 def test_third_order_update_rows():
@@ -52,7 +52,7 @@ def test_perfect_initialization_stays_locked():
     # exact initial estimates: the estimation error must stay at roundoff
     c, b = 2.0, 3.25
     plant = ChainPlant(2, b, x0=[5.0, 0.0],
-                       disturbance=ConstantDisturbance(c))
+                       disturbance=Constant(c))
     u = -c / b
     leso = Leso(2, 1, 400.0, b, e1_initial=5.0, initial_estimates=(0.0, c))
     for _ in range(5000):
@@ -68,7 +68,7 @@ def test_constant_disturbance_estimate_converges():
     # free double integrator under a constant disturbance: the extended state
     # converges to the disturbance with zero steady error
     c, b, omega = 4.0, 3.25, 50.0
-    plant = ChainPlant(2, b, disturbance=ConstantDisturbance(c))
+    plant = ChainPlant(2, b, disturbance=Constant(c))
     leso = Leso(2, 1, omega, b, e1_initial=0.0)
     dt = 1e-4
     horizon = round(0.5 / dt)
@@ -138,12 +138,12 @@ def test_contraction_matrix_and_norm_profile():
 def test_bandwidth_scaling_reduces_disturbance_error():
     # doubling the bandwidth shrinks the steady-state sup of the extended
     # state error on a sinusoidal disturbance
-    dist = SinusoidDisturbance(2.0, 2 * math.pi)
-    ref = ConstantReference(0.0)
+    dist = Sinusoid(2.0, 2 * math.pi)
+    ref = Constant(0.0)
     results = []
     dt = 2e-5  # fine enough that sampling effects stay below the envelope
     for omega in (200.0, 400.0, 800.0):
-        plant = ChainPlant(2, 3.25, disturbance=SinusoidDisturbance(2.0, 2 * math.pi))
+        plant = ChainPlant(2, 3.25, disturbance=Sinusoid(2.0, 2 * math.pi))
         leso = Leso(2, 1, omega, 3.25, e1_initial=0.0)
         sup = 0.0
         for k in range(round(1.0 / dt)):

@@ -9,15 +9,11 @@ import pytest
 from esobank.errors import ConfigError, DivergenceError
 from esobank.plant import (
     ChainPlant,
-    ConstantDisturbance,
     FrictionParams,
     RfcPlant,
-    SinusoidDisturbance,
-    StepDisturbance,
-    StickSlipDisturbance,
-    SumDisturbance,
     disturbance_from_config,
 )
+from esobank.signals import Constant, Sinusoid, Step, StickSlip, Sum
 
 
 def test_chain_equilibrium():
@@ -38,7 +34,7 @@ def test_chain_double_integrator_closed_form():
 
 def test_chain_disturbance_and_input_are_symmetric():
     driven = ChainPlant(2, 3.25)
-    disturbed = ChainPlant(2, 3.25, disturbance=ConstantDisturbance(1.0))
+    disturbed = ChainPlant(2, 3.25, disturbance=Constant(1.0))
     for _ in range(50):
         driven.step(1.0 / 3.25, 1e-3)
         disturbed.step(0.0, 1e-3)
@@ -72,7 +68,7 @@ def test_chain_divergence_detection():
 
 
 def test_chain_probe_reports_lumped_disturbance():
-    plant = ChainPlant(2, 3.25, disturbance=SinusoidDisturbance(1.0, 1.0))
+    plant = ChainPlant(2, 3.25, disturbance=Sinusoid(1.0, 1.0))
     assert plant.total_disturbance(0.0) == pytest.approx(math.sin(0.0))
     plant.step(0.0, 0.25)
     expected = math.sin(plant.t)
@@ -81,23 +77,23 @@ def test_chain_probe_reports_lumped_disturbance():
 
 
 def test_disturbance_derivatives_and_bounds():
-    sin = SinusoidDisturbance(2.0, 3.0, phase=0.4)
+    sin = Sinusoid(2.0, 3.0, phase=0.4)
     for order in range(4):
         t = 0.7
         fd = (sin.derivative(t + 1e-6, order) - sin.derivative(t - 1e-6, order)) / 2e-6
         assert fd == pytest.approx(sin.derivative(t, order + 1), rel=1e-4)
-        assert abs(sin.derivative(t, order)) <= sin.derivative_bound(order) + 1e-12
+        assert abs(sin.derivative(t, order)) <= sin.sup_derivative(order) + 1e-12
 
-    step = StepDisturbance(0.5, 2.0, base=1.0)
+    step = Step(0.5, 2.0, base=1.0)
     assert step(None, 0.4) == 1.0
     assert step(None, 0.6) == 3.0
-    assert step.derivative_bound(1) == 0.0
+    assert math.isinf(step.sup_derivative(1))
 
-    total = SumDisturbance([sin, ConstantDisturbance(5.0)])
+    total = Sum([sin, Constant(5.0)])
     assert total(None, 0.2) == pytest.approx(sin(None, 0.2) + 5.0)
-    assert total.derivative_bound(1) == sin.derivative_bound(1)
+    assert total.sup_derivative(1) == sin.sup_derivative(1)
 
-    sticky = StickSlipDisturbance()
+    sticky = StickSlip()
     assert sticky((0.0, 0.0), 0.0) == 0.0
     assert sticky((0.0, 1.0), 0.0) < 0  # opposes motion
     with pytest.raises(ValueError):
