@@ -15,8 +15,8 @@ import math
 from collections import namedtuple
 
 from .errors import ConfigError, DivergenceError
-from .evaluator import SwitchIndex, ZFilter
-from .integrate import rk4_step
+from .evaluator import SwitchIndex, ZFilter, companion_matrix
+from .integrate import LinearBlock
 from .polynomials import build_g_family
 from .signals import Constant, Move, Polynomial, Sinusoid, signal_from_config
 
@@ -46,31 +46,47 @@ def reference_sup_bound(ref, max_order):
 
 class IdealTrajectory:
     """Reference closed-loop response x*: the trajectory the output is judged
-    against. Must start exactly at the plant state."""
+    against. Must start exactly at the plant state.
+
+    x* = r + eps, where eps = x* - (r, r', ..., r^(n-1)) obeys the unforced
+    eps' = companion_matrix(gain_row) eps wherever r^(n-1) is continuous: at
+    any n for a constant, sinusoid or poly reference, up to n = 3 for a move
+    (its r''' jumps at segment ends). eps(t0) is set on the first step, which
+    brings the reference. After k steps of dt the time is t0 + k dt."""
 
     def __init__(self, gain_row, x0, t0=0.0):
         self.gain_row = tuple(float(k) for k in gain_row)
         self.n = len(self.gain_row)
+        # the start state; perfbench/tracer.py records it from the instance
+        # dict. The first step deletes it, and __getattr__ computes x after.
         self.x = [float(v) for v in x0]
         if len(self.x) != self.n:
             raise ConfigError(
                 "trajectory.x0", f"expected {self.n} entries, got {len(self.x)}"
             )
-        self.t = float(t0)
-
-    def _deriv(self, x, t, ref):
-        r = ref.derivatives(t, self.n + 1)
-        d = x[1:]
-        last = r[self.n]
-        for k, xi, ri in zip(self.gain_row, x, r):
-            last -= k * (xi - ri)
-        d.append(last)
-        return d
+        self.t0 = self.t = float(t0)
+        self.steps, self.eps = 0, None
+        self.block = LinearBlock(companion_matrix(self.gain_row), [0.0] * self.n)
 
     def step(self, ref, dt):
-        self.x = rk4_step(lambda x, t: self._deriv(x, t, ref), self.x, self.t, dt)
-        self.t += dt
-        return self.x
+        if self.eps is None:
+            self.reference = ref
+            r = ref.derivatives(self.t0, self.n)
+            self.eps = [xi - ri for xi, ri in zip(self.x, r)]
+            del self.x
+        self.eps = self.block.step(self.eps, 0.0, dt)
+        self.steps += 1
+        self.t = self.t0 + self.steps * dt
+
+    def __getattr__(self, name):
+        if name != "x":
+            raise AttributeError(name)
+        r = self.reference.derivatives(self.t, self.n)
+        return [ri + ei for ri, ei in zip(r, self.eps)]
+
+    def x1(self, r1):
+        """x1* given r1 = r(t) at the trajectory's time t."""
+        return self.x[0] if self.eps is None else r1 + self.eps[0]
 
 
 def adrc_law(e_hat, gain_row, b):
@@ -121,6 +137,9 @@ class Supervisor:
                  u_limit=None):
         if not bank:
             raise ConfigError("observers", "observer bank is empty")
+        if isinstance(reference, Move) and char.order >= 4:
+            raise ConfigError("reference", "a move needs plant order <= 3: "
+                              "its third derivative jumps at segment ends")
         self.char = char
         self.gain_row = char.gain_row
         self.b = float(b)
@@ -136,6 +155,7 @@ class Supervisor:
         self.dt = float(dt)
         self.u_limit = u_limit
         self.t = 0.0
+        self.steps = 0
         self._pending = None
 
     @property
@@ -157,14 +177,15 @@ class Supervisor:
         if pending is not None:
             e1_prev, et_prev, u_prev = pending
             dt = self.dt
-            self.t += dt
+            self.steps += 1
+            self.t = self.steps * dt
             self.trajectory.step(self.reference, dt)
         t = self.t
         r1 = self.reference.value(t)
         e1 = y - r1
         if pending is not None:
             e1_in = 0.5 * (e1_prev + e1)
-        x1_star = self.trajectory.x[0]
+        x1_star = self.trajectory.x1(r1)
         alive = self.alive
         etilde = []
         zs = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -191,6 +192,9 @@ def _validate_numerics(cfg):
     if cfg.duration / cfg.dt <= 0.5:  # the run takes round() of it steps
         raise ConfigError("duration", f"{cfg.duration!r} is shorter than one "
                           f"step of dt = {cfg.dt!r}")
+    if not math.isfinite(cfg.duration / cfg.dt):
+        raise ConfigError("dt", f"{cfg.dt!r} is so small that duration / dt "
+                          "overflows")
     if not finite_number(cfg.noise_amplitude, "noise_amplitude") >= 0:
         raise ConfigError("noise_amplitude",
                           f"{cfg.noise_amplitude!r} must be nonnegative")

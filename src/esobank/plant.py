@@ -51,6 +51,7 @@ class ChainPlant:
             raise ConfigError("plant.x0", f"expected {self.n} entries, got {len(self.x)}")
         self.disturbance = disturbance if disturbance is not None else ConstantLevel()
         self.t = 0.0
+        self.steps = 0
 
     @property
     def y(self):
@@ -69,7 +70,8 @@ class ChainPlant:
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.x = rk4_step(lambda x, t: self._deriv(x, t, u), self.x, self.t, dt)
-        self.t += dt
+        self.steps += 1
+        self.t = self.steps * dt
         _check_finite(self.x, "chain plant")
         return self.y
 
@@ -92,6 +94,12 @@ class FrictionParams:
             raise ConfigError(
                 "plant.friction", "requires f_static >= f_coulomb >= 0"
             )
+        if not self.v_stribeck > 0:
+            raise ConfigError("plant.friction.v_stribeck",
+                              f"{self.v_stribeck!r} must be positive")
+        if not self.v_dead >= 0:
+            raise ConfigError("plant.friction.v_dead",
+                              f"{self.v_dead!r} must be nonnegative")
 
     def sliding_force(self, v):
         level = self.f_coulomb + (self.f_static - self.f_coulomb) * math.exp(
@@ -138,6 +146,7 @@ class RfcPlant:
         self.x_s, self.v_s, self.x_f, self.v_f = (float(v) for v in x0)
         self.extra_disturbance = extra_disturbance
         self.t = 0.0
+        self.steps = 0
         self.n = 2
 
     @property
@@ -200,7 +209,8 @@ class RfcPlant:
                 and abs(self.flexure_force_on_frame()) <= self.friction.f_static
             ):
                 self.v_f = 0.0
-        self.t += dt
+        self.steps += 1
+        self.t = self.steps * dt
         _check_finite((self.x_s, self.v_s, self.x_f, self.v_f), "flexure stage")
         return self.y
 

@@ -152,7 +152,10 @@ class Sinusoid(Signal):
     def sup_derivative(self, order):
         if order == 0:
             return abs(self.offset) + abs(self.amplitude)
-        return abs(self.amplitude) * abs(self.omega)**order
+        try:
+            return abs(self.amplitude) * abs(self.omega)**order
+        except OverflowError:  # past the float range
+            return math.inf if self.amplitude else 0.0
 
 
 class Polynomial(Signal):
@@ -171,6 +174,8 @@ class Polynomial(Signal):
         return acc
 
     def derivative(self, t, order):
+        if order == 0:  # bit for bit what value(t) gives, as in every kind
+            return self.value(t)
         total = 0.0
         for i in range(order, len(self.coeffs)):
             total += math.perm(i, order) * self.coeffs[i] * t ** (i - order)
@@ -184,7 +189,10 @@ class Polynomial(Signal):
         if order > degree:
             return 0.0
         if order == degree:
-            return abs(math.perm(degree, order) * self.coeffs[degree])
+            try:
+                return abs(math.perm(degree, order) * self.coeffs[degree])
+            except OverflowError:  # past the float range
+                return math.inf if self.coeffs[degree] else 0.0
         return math.inf
 
 
@@ -194,7 +202,8 @@ class Move(Signal):
     Each segment is {"t_start", "t_move", "target"}; between segments the
     signal holds the last target. The profile is s(tau) = 10 tau^3 -
     15 tau^4 + 6 tau^5, so position, velocity and acceleration are continuous
-    and all derivatives stay bounded (setpoint steps would not be).
+    and the jerk stays bounded (setpoint steps would not be). The jerk jumps
+    at each segment end, so from the fourth derivative on the bound is inf.
     """
 
     kind = "move"
@@ -266,8 +275,10 @@ class Move(Signal):
         if order == 0:
             levels = [self.start] + [seg[3] for seg in self._spans]
             return max(abs(v) for v in levels)
-        if order > 5:
-            return 0.0
+        if order > 3:
+            # r''' jumps at each segment end, so r'''' has an impulse there
+            return (math.inf if any(seg[2] != seg[3] for seg in self._spans)
+                    else 0.0)
         # |s^(k)| peaks on [0, 1] at an end or at a real root of s^(k+1);
         # a complex root's real part, clipped into [0, 1], is a harmless
         # extra candidate.

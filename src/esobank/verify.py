@@ -369,15 +369,13 @@ def single_eso_oracle(plant, char, reference, leso, dt, steps):
             col.append(value)
         return etilde1, u
 
-    t = 0.0
     y = plant.y
-    e1 = y - reference.value(t)
+    e1 = y - reference.value(0.0)
     etilde1, u = sample(y, e1)
-    for _ in range(steps):
+    for k in range(1, steps + 1):
         plant.step(u, dt)
         y = plant.y
-        t += dt
-        e1_prev, e1 = e1, y - reference.value(t)
+        e1_prev, e1 = e1, y - reference.value(k * dt)
         leso.step(0.5 * (e1_prev + e1), u, dt)
         zfilter.advance(etilde1, dt)
         trajectory.step(reference, dt)

@@ -3,7 +3,11 @@ law, and the switching supervisor."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from esobank.controller import (
     IdealTrajectory,
@@ -14,6 +18,7 @@ from esobank.controller import (
     reference_sup_bound,
 )
 from esobank.errors import ConfigError, DivergenceError
+from esobank.harness import ScenarioConfig, make_preset, run_scenario
 from esobank.observer import Leso
 from esobank.plant import ChainPlant
 from esobank.polynomials import PoleSpec, char_poly
@@ -77,7 +82,8 @@ def test_move_reference_sup_derivative_is_the_exact_peak():
     # unit move over unit time: the peaks of s^(k) on [0, 1] in closed form;
     # the acceleration peak sits off any uniform grid, at tau = 1/2 - sqrt(3)/6
     ref = Move(0.0, [{"t_start": 0.0, "t_move": 1.0, "target": 1.0}])
-    exact = {1: 1.875, 2: 10.0 / math.sqrt(3.0), 3: 60.0, 4: 360.0, 5: 720.0}
+    exact = {1: 1.875, 2: 10.0 / math.sqrt(3.0), 3: 60.0, 4: math.inf,
+             5: math.inf}
     for order, peak in exact.items():
         assert ref.sup_derivative(order) == pytest.approx(peak, rel=1e-12)
     # span and amplitude scale the order-k bound by |target - start| / span^k
@@ -161,6 +167,84 @@ def test_ideal_trajectory_tracks_sinusoid_from_matched_start():
         traj.step(ref, 1e-4)
     t = traj.t
     assert traj.x[0] == pytest.approx(ref.value(t), abs=1e-8)
+
+
+@st.composite
+def _trajectory_case(draw):
+    """n in 1..4, distinct poles in [3, 36] whose degrees add up to n, a
+    start time, eps(t0), and a reference whose r^(n-1) is continuous."""
+    n = draw(st.integers(1, 4))
+    degrees = []
+    while sum(degrees) < n:
+        degrees.append(draw(st.integers(1, n - sum(degrees))))
+    # each pole at least 4/3 times the one before
+    poles = tuple((3.0 * 2.0**i * draw(st.floats(1.0, 1.5)), d)
+                  for i, d in enumerate(degrees))
+    kinds = [
+        st.builds(Constant, st.floats(-5.0, 5.0)),
+        st.builds(Sinusoid, st.floats(-2.0, 2.0), st.floats(0.5, 10.0),
+                  st.floats(-3.0, 3.0), st.floats(-2.0, 2.0)),
+        st.builds(Polynomial, st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                       max_size=4)),
+    ]
+    if n <= 3:
+        kinds.append(st.builds(
+            lambda start, t_start, span, target: Move(start, [
+                {"t_start": t_start, "t_move": span, "target": target}]),
+            st.floats(-1.0, 1.0), st.floats(0.0, 0.3), st.floats(0.1, 0.3),
+            st.floats(-2.0, 2.0)))
+    ref = draw(st.one_of(kinds))
+    t0 = draw(st.floats(0.0, 0.5))
+    eps0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return poles, t0, eps0, ref
+
+
+# RK4 at h = 1e-3 against DOP853 at rtol 1e-11: the error bound, relative
+# to 1 + the component's largest magnitude over the run (the worst of 400
+# cases was 8.5e-10)
+TRAJECTORY_RTOL = 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_trajectory_case())
+def test_ideal_trajectory_solves_the_forced_closed_loop(case):
+    # x*^(n) = r^(n) - k.(x* - r), solved directly, against x* = r + eps
+    poles, t0, eps0, ref = case
+    char = char_poly(PoleSpec(poles))
+    n, dt, steps = char.order, 1e-3, 500
+    x0 = [r + e for r, e in zip(ref.derivatives(t0, n), eps0)]
+
+    def forced(t, x):
+        r = ref.derivatives(t, n + 1)
+        last = r[n] - sum(k * (xi - ri) for k, xi, ri in zip(char.gain_row, x, r))
+        return [*x[1:], last]
+
+    checks = range(50, steps + 1, 50)
+    times = [t0 + k * dt for k in checks]
+    exact = solve_ivp(forced, (t0, times[-1]), x0, method="DOP853",
+                      t_eval=times, rtol=1e-11, atol=1e-12).y
+    traj = IdealTrajectory(char.gain_row, x0, t0=t0)
+    got = []
+    for k in range(1, steps + 1):
+        traj.step(ref, dt)
+        if k in checks:
+            assert traj.t == t0 + k * dt
+            got.append(traj.x)
+            # the supervisor's read of x1* and the oracle's agree bit for bit
+            assert traj.x1(ref.value(traj.t)) == got[-1][0]
+    got = np.array(got).T
+    scale = 1.0 + np.max(np.abs(exact), axis=1, keepdims=True)
+    assert np.all(np.abs(got - exact) <= TRAJECTORY_RTOL * scale)
+
+
+def test_x1_star_is_the_reference_exactly_from_a_start_on_it():
+    # paper-p2p-r10 starts at rest on r, so eps stays exactly 0 through the
+    # first move (0.198 to 0.448 s) and x1* reads r1 unchanged
+    data = make_preset("paper-p2p-r10").to_dict()
+    data.update(duration=0.5, run_baselines=False)
+    trace, _ = run_scenario(ScenarioConfig.from_dict(data))
+    assert trace.data["x1_star"] == trace.data["r"]
+    assert trace.data["ebar1"] == trace.data["e1"]
 
 
 # ---------------------------------------------------------------------------

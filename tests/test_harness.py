@@ -218,6 +218,7 @@ def test_cli_bad_config_exits_1(tmp_path):
     ("seed", "-1"),
     ("noise_amplitude", "NaN"),
     ("duration", "0.0005"),  # under one step of dt = 1e-3
+    ("dt", "5e-324"),  # duration / dt overflows
 ])
 def test_cli_bad_numeric_field_exits_1_naming_it(tmp_path, capsys, field, raw):
     data = make_preset("tiny").to_dict()
@@ -271,6 +272,11 @@ _MOVE = {"kind": "move", "start": 0.0,
      "observers[0].initial_estimates[0]"),
     ("observers", [{"order": 3, "omega_o": 300.0, "beta": [1.0, 2.0, "3"]}],
      "observers[0].beta[2]"),
+    # friction speeds, after the cases above so that their ids stay put
+    ("plant", {"kind": "rfc", "friction": {"v_stribeck": 0}},
+     "plant.friction.v_stribeck"),
+    ("plant", {"kind": "rfc", "friction": {"v_dead": -1.0}},
+     "plant.friction.v_dead"),
 ])
 def test_cli_bad_nested_field_exits_1_naming_it(tmp_path, capsys, section,
                                                  body, field):
@@ -283,6 +289,21 @@ def test_cli_bad_nested_field_exits_1_naming_it(tmp_path, capsys, section,
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == 1
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,code", [(3, 0), (4, 1)])
+def test_cli_move_reference_needs_plant_order_at_most_3(tmp_path, capsys, n,
+                                                        code):
+    # a move's r''' jumps at each segment end; from order 4 on x* would no
+    # longer be the ideal response, so the run is refused
+    data = make_preset("tiny").to_dict()
+    data.update(plant={"kind": "chain", "n": n, "b": 3.25},
+                poles=[[150.0, n]], reference=_MOVE,
+                observers=[{"order": n + 1, "omega_o": 300.0}])
+    cfg_path = tmp_path / "move.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path)]) == code
+    assert ("config error: reference:" in capsys.readouterr().err) == bool(code)
 
 
 def test_cli_divergence_exits_2(tmp_path):

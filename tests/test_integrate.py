@@ -1,7 +1,9 @@
 """Held-input linear blocks: the precomputed step map is one RK4 step of
 (A, B), and its P is exp(hA) up to the RK4 truncation term."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 from hypothesis import given, settings
@@ -54,3 +56,14 @@ def test_step_map_is_rk4_and_near_expm(order, omega, h_omega, observer, seed):
     r = _scaled_inf_norm(dt * a, scale)
     truncation = math.exp(r) - sum(r**k / math.factorial(k) for k in range(5))
     assert _scaled_inf_norm(p - expm(dt * a), scale) <= truncation
+
+
+def test_rk4_step_is_bound_only_in_the_plant_module():
+    # observers, z-filters and x* step through LinearBlock maps; only the
+    # nonlinear plants integrate with the generic RK4 step
+    package = importlib.import_module("esobank")
+    modules = [package] + [importlib.import_module(f"esobank.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__)]
+    holders = {mod.__name__ for mod in modules
+               if any(value is rk4_step for value in vars(mod).values())}
+    assert holders == {"esobank.integrate", "esobank.plant"}

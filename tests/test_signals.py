@@ -11,7 +11,8 @@ from esobank.errors import ConfigError, DivergenceError
 from esobank.harness import ScenarioConfig, make_preset, run_scenario
 from esobank.observer import estimation_error_bound
 from esobank.polynomials import build_g_family, leso_gains
-from esobank.signals import Constant, Sinusoid, Step, StickSlip, Sum
+from esobank.signals import (Constant, Polynomial, Sinusoid, Step, StickSlip,
+                             Sum)
 
 
 def test_an_envelope_built_on_a_step_is_inf():
@@ -31,6 +32,14 @@ def test_sinusoid_bound_holds_for_a_negative_frequency():
     for order in range(4):
         assert sine.sup_derivative(order) >= abs(sine.derivative(0.7, order))
     assert sine.sup_derivative(1) == 3.0
+
+
+def test_a_bound_past_the_float_range_is_inf():
+    assert Sinusoid(1.0, 1e200).sup_derivative(2) == math.inf
+    assert Polynomial([1.0] * 200).sup_derivative(199) == math.inf
+    # a zero amplitude or top coefficient keeps its exact bound of 0
+    assert Sinusoid(0.0, 1e200).sup_derivative(2) == 0.0
+    assert Polynomial([1.0] * 199 + [0.0]).sup_derivative(199) == 0.0
 
 
 def test_sums_add_from_left_to_right():
