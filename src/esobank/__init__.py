@@ -36,6 +36,7 @@ from .observer import (
     Leso,
     bound_tail_coefficient,
     bound_tail_max,
+    error_envelope,
     estimation_error_bound,
     scaled_error_bound,
 )

@@ -202,6 +202,15 @@ def _validate_numerics(cfg):
     integer(cfg.seed, "seed", 0)
     if cfg.iae_method not in ("rectangle", "trapezoid"):
         raise ConfigError("iae_method", f"unknown method {cfg.iae_method!r}")
+    if not isinstance(cfg.run_baselines, bool):
+        raise ConfigError("run_baselines",
+                          f"{cfg.run_baselines!r} must be true or false")
+    if not (isinstance(cfg.name, str) and cfg.name and "/" not in cfg.name):
+        raise ConfigError("name", f"{cfg.name!r} must be a non-empty string "
+                          "without '/'")
+    if not isinstance(cfg.output_dir, (str, type(None))):
+        raise ConfigError("output_dir",
+                          f"{cfg.output_dir!r} must be null or a string")
 
 
 # ---------------------------------------------------------------------------
@@ -465,25 +474,27 @@ def run_single_law(cfg, observer_index):
 # ---------------------------------------------------------------------------
 
 
-def _set_path(data, path, value):
-    keys = path.split(".")
-    node = data
-    for key in keys[:-1]:
-        if isinstance(node, list):
-            node = node[int(key)]
-        elif isinstance(node, dict):
-            if key not in node:
-                raise ConfigError(path, f"no such field segment {key!r}")
-            node = node[key]
-        else:
-            raise ConfigError(path, f"cannot descend into {type(node).__name__}")
-    last = keys[-1]
+def _path_key(node, key, path):
+    """``key`` as an index into ``node``; a ConfigError naming ``path`` when
+    it cannot be one."""
+    if isinstance(node, dict):
+        return key
     if isinstance(node, list):
-        node[int(last)] = value
-    elif isinstance(node, dict):
-        node[last] = value
-    else:
-        raise ConfigError(path, f"cannot assign into {type(node).__name__}")
+        if key.isdecimal() and int(key) < len(node):
+            return int(key)
+        raise ConfigError(path, f"{key!r} is not an index of a list of "
+                          f"{len(node)}")
+    raise ConfigError(path, f"cannot index into {type(node).__name__}")
+
+
+def _set_path(data, path, value):
+    *parents, last = path.split(".")
+    node = data
+    for key in parents:
+        if isinstance(node, dict) and key not in node:
+            raise ConfigError(path, f"no such field segment {key!r}")
+        node = node[_path_key(node, key, path)]
+    node[_path_key(node, last, path)] = value
 
 
 def sweep(cfg, param_path, values):
@@ -493,7 +504,9 @@ def sweep(cfg, param_path, values):
     for value in values:
         data = copy.deepcopy(cfg.to_dict())
         _set_path(data, param_path, value)
-        data["name"] = f"{cfg.name}__{param_path.replace('.', '_')}_{value}"
+        # a value may hold a '/', which a name may not
+        data["name"] = (f"{cfg.name}__{param_path.replace('.', '_')}_{value}"
+                        .replace("/", "_"))
         configs.append(ScenarioConfig.from_dict(data))
     return [(value, run_scenario(c)[1]) for value, c in zip(values, configs)]
 

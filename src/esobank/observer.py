@@ -102,34 +102,40 @@ def inf_norm(matrix):
     return float(np.max(np.sum(np.abs(matrix), axis=1)))
 
 
-def estimation_error_bound(beta, omega_o, eps0_norm, h1, h2, tau, i):
-    """Upper bound on |e_tilde_i(t0 + tau)| for a LESO with gains beta:
+def error_envelope(order, omega_o, eps0_norm, h1, h2, norms, i):
+    """Upper bound on |e_tilde_i(t0 + tau)| for a LESO of the given order:
 
-        omega_o^(i-1) * ||exp(omega_o * A_tilde * tau)||_inf * ||eps(t0)||_inf
+        omega_o^(i-1) * norms * ||eps(t0)||_inf
         + (h1 + h2) * G_i / omega_o^(order - i + 1)
 
-    h1 bounds the disturbance derivatives, h2 the reference derivatives.
-    The matrix exponential is evaluated by scaling-and-squaring.
+    ``norms`` is ||exp(omega_o * A_tilde * tau)||_inf, a scalar or an array
+    over a tau grid. h1 bounds the disturbance derivatives, h2 the reference
+    derivatives. ``i=None`` bounds ||eps(t0 + tau)||_inf instead, with
+    G = max_i G_i and the powers of omega_o taken at i = 1.
     """
-    order = len(beta)
     if not (omega_o > 0):
         raise ValueError("omega_o must be positive")
-    tail = (h1 + h2) * bound_tail_coefficient(order, i) / omega_o ** (order - i + 1)
-    if eps0_norm == 0.0:
-        return tail
-    a = error_contraction_matrix(beta, omega_o)
-    transient = inf_norm(expm(omega_o * tau * a)) * eps0_norm
-    return omega_o ** (i - 1) * transient + tail
+    if i is None:
+        scale, g, power = 1.0, bound_tail_max(order), order
+    else:
+        scale, g = omega_o ** (i - 1), bound_tail_coefficient(order, i)
+        power = order - i + 1
+    return scale * norms * eps0_norm + (h1 + h2) * g / omega_o**power
+
+
+def estimation_error_bound(beta, omega_o, eps0_norm, h1, h2, tau, i):
+    """``error_envelope`` at one tau, with the matrix exponential evaluated
+    by scaling-and-squaring (``i=None``: the ||eps||_inf bound)."""
+    norm = 0.0
+    if eps0_norm != 0.0:
+        a = error_contraction_matrix(beta, omega_o)
+        norm = inf_norm(expm(omega_o * tau * a))
+    return error_envelope(len(beta), omega_o, eps0_norm, h1, h2, norm, i)
 
 
 def scaled_error_bound(beta, omega_o, eps0_norm, h1, h2, tau):
     """Upper bound on ||eps(t0 + tau)||_inf (same structure, G = max_i G_i)."""
-    order = len(beta)
-    tail = (h1 + h2) * bound_tail_max(order) / omega_o**order
-    if eps0_norm == 0.0:
-        return tail
-    a = error_contraction_matrix(beta, omega_o)
-    return inf_norm(expm(omega_o * tau * a)) * eps0_norm + tail
+    return estimation_error_bound(beta, omega_o, eps0_norm, h1, h2, tau, None)
 
 
 def contraction_norm_profile(beta, omega_o, dt, steps):

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +54,7 @@ from .harness import (
     make_preset,
     run_scenario,
 )
-from .observer import (
-    Leso,
-    bound_tail_coefficient,
-    bound_tail_max,
-    contraction_norm_profile,
-)
+from .observer import Leso, contraction_norm_profile, error_envelope
 from .plant import ChainPlant
 from .polynomials import (
     PoleSpec,
@@ -138,18 +135,6 @@ def _true_errors(plant, ref, dist, t, e1, order):
     for extra in range(order - 2):
         e_true.append(dist.derivative(t, extra) - ref.derivative(t, 2 + extra))
     return e_true
-
-
-def _tracking_ratio(char, beta, omega_o, gamma, ebar):
-    """The tracking-error envelope of a double-integrator loop whose
-    observers have gains ``beta`` and running scaled-error sup ``gamma``
-    (the ideal trajectory starts on the plant), and max |ebar1|/envelope
-    after t0."""
-    table = ResidueTable.for_gain_family(
-        char, build_g_family(char.gain_row, beta, 2))
-    bound = tracking_error_bound(char, table.row(2), omega_o, 0.0, gamma, 0.0)
-    with np.errstate(invalid="ignore"):
-        return bound, float(np.max(np.abs(ebar[1:]) / bound[1:]))
 
 
 def identity_probe(poles=((150.0, 2),), omega_o=1500.0, order=3, amp=5.0,
@@ -235,70 +220,30 @@ BOUND_SCENARIOS = (
 
 def run_bound_audit(scn, poles=((150.0, 2),), setpoint=10.0, b=3.25,
                     beta=None):
-    """Closed-loop run that also logs ground-truth estimation errors, their
-    computed envelopes, and the tracking-error envelope.
+    """``run_bank_bound_audit`` on a bank of one observer, plus the envelopes
+    of each of its estimation errors and of its scaled error norm.
 
     Returns arrays plus worst-case ratios measured/bound (all must stay
     below 1). ``beta`` overrides the observer gains (negative controls)."""
-    order = scn["order"]
-    omega_o = scn["omega_o"]
-    dt = scn["dt"]
-    init = [-scn.get("inject_e2", 0.0)] + [0.0] * (order - 2)
-    plant, ctrl, dist = _sine_loop(poles, setpoint, b, scn["amp"],
-                                   scn["omega_d"], dt,
-                                   [(order, omega_o, init, beta)])
-    char, ref, leso = ctrl.char, ctrl.reference, ctrl.bank[0]
-    if scn.get("truth_init"):
-        # start the estimates on the ground truth so the scaled error is
-        # exactly zero and the bound reduces to its tail term
-        leso.e_hat[1:] = _true_errors(plant, ref, dist, 0.0, 0.0, order)[1:]
-
-    h1 = max(dist.sup_derivative(k) for k in range(1, order - 1))
-    h2 = reference_sup_bound(ref, order)
-    steps = round(scn["duration"] / dt)
-    scales = [omega_o**i for i in range(order)]
-
-    etilde = np.empty((steps + 1, order))
-    ebar = np.empty(steps + 1)
-    t_grid = np.arange(steps + 1) * dt
-
-    def probe(k, rec):
-        e_true = _true_errors(plant, ref, dist, rec.t, rec.e1, order)
-        for i in range(order):
-            etilde[k, i] = e_true[i] - leso.e_hat[i]
-        ebar[k] = rec.ebar1
-
-    closed_loop(plant, ctrl, steps, dt, probe)
-
-    eps = np.abs(etilde) / scales
-    eps_norm = np.max(eps, axis=1)
+    audit = run_bank_bound_audit({**scn, "beta": beta}, poles, setpoint, b)
+    (etilde,), (eps_norm,) = audit["etilde"], audit["eps_norm"]
+    order, omega_o = scn["order"], scn["omega_o"]
     eps0_norm = eps_norm[0]
-    gamma = np.maximum.accumulate(eps_norm)
-
+    norms = 0.0
     if eps0_norm > 0:
-        norms = contraction_norm_profile(leso.beta, omega_o, dt, steps)
-    else:
-        norms = np.zeros(steps + 1)
+        norms = contraction_norm_profile(audit["bank"][0].beta, omega_o,
+                                         scn["dt"], len(eps_norm) - 1)
 
-    ratios = {}
-    for i in range(1, order + 1):
-        tail = (h1 + h2) * bound_tail_coefficient(order, i) / omega_o ** (
-            order - i + 1
-        )
-        bound_i = omega_o ** (i - 1) * norms * eps0_norm + tail
-        ratios[f"etilde_{i}"] = float(np.max(np.abs(etilde[:, i - 1]) / bound_i))
-    tail_norm = (h1 + h2) * bound_tail_max(order) / omega_o**order
-    bound_norm = norms * eps0_norm + tail_norm
-    ratios["eps_norm"] = float(np.max(eps_norm / bound_norm))
+    def worst(measured, i):
+        bound = error_envelope(order, omega_o, eps0_norm, audit["h1"],
+                               audit["h2"], norms, i)
+        return float(np.max(measured / bound))
 
-    tracking_bound, ratios["ebar_1"] = _tracking_ratio(char, leso.beta,
-                                                       omega_o, gamma, ebar)
-
-    return {
-        "t": t_grid, "etilde": etilde, "ebar": ebar, "gamma": gamma,
-        "ratios": ratios, "h1": h1, "h2": h2,
-        "tracking_bound": tracking_bound,
-    }
+    ratios = {f"etilde_{i}": worst(np.abs(etilde[:, i - 1]), i)
+              for i in range(1, order + 1)}
+    ratios["eps_norm"] = worst(eps_norm, None)
+    ratios["ebar_1"] = audit["ebar_ratio"]
+    return {**audit, "etilde": etilde, "ratios": ratios}
 
 
 BANK_BOUND_SCENARIO = {
@@ -311,41 +256,66 @@ BANK_BOUND_SCENARIO = {
 
 def run_bank_bound_audit(scn=BANK_BOUND_SCENARIO, poles=((150.0, 2),),
                          setpoint=10.0, b=3.25):
-    """Tracking-error envelope audit for the switched law itself: gamma is
+    """Closed-loop run that logs each observer's ground-truth estimation
+    errors and audits |ebar1| against the tracking-error envelope. gamma is
     the running sup of the scaled estimation error across the whole bank,
-    which dominates whichever observer is active at each instant."""
+    which dominates whichever observer is active at each instant.
+
+    The bank has one observer per entry of ``scn["orders"]``, or the one of
+    ``scn["order"]``. ``inject_e2`` (an initial e_tilde_2), ``truth_init``
+    (estimates started on the ground truth) and ``beta`` (gains) apply to
+    every observer."""
     omega_o = scn["omega_o"]
     dt = scn["dt"]
+    init = (-scn.get("inject_e2", 0.0),)
     plant, sup, dist = _sine_loop(
         poles, setpoint, b, scn["amp"], scn["omega_d"], dt,
-        [(order, omega_o, (), None) for order in scn["orders"]],
-        window=scn["window"],
+        [(order, omega_o, init, scn.get("beta"))
+         for order in scn.get("orders") or (scn["order"],)],
+        window=scn.get("window", 20),
     )
-    ref, bank = sup.reference, sup.bank
+    char, ref, bank = sup.char, sup.reference, sup.bank
     top = max(leso.order for leso in bank)
+    if scn.get("truth_init"):
+        # start the estimates on the ground truth so the scaled error is
+        # exactly zero and the bound reduces to its tail term
+        truth = _true_errors(plant, ref, dist, 0.0, 0.0, top)
+        for leso in bank:
+            leso.e_hat[1:] = truth[1:leso.order]
 
     steps = round(scn["duration"] / dt)
-    scales = [omega_o**i for i in range(top)]
+    # one flat buffer per observer, extended each step: cheaper per step
+    # than writing into an array row by row
+    buffers = [(array("d"), leso) for leso in bank]
     ebar = np.empty(steps + 1)
-    gamma_bank = np.empty(steps + 1)
-    running = 0.0
 
     def probe(k, rec):
-        nonlocal running
         e_true = _true_errors(plant, ref, dist, rec.t, rec.e1, top)
-        for leso in bank:
-            eps = max(
-                abs(e - eh) / s
-                for e, eh, s in zip(e_true, leso.e_hat, scales)
-            )
-            running = max(running, eps)
+        for buf, leso in buffers:
+            buf.extend(map(operator.sub, e_true, leso.e_hat))
         ebar[k] = rec.ebar1
-        gamma_bank[k] = running
 
     closed_loop(plant, sup, steps, dt, probe)
 
-    _, ratio = _tracking_ratio(sup.char, bank[0].beta, omega_o, gamma_bank, ebar)
-    return {"ebar_ratio": ratio, "switches": sup.switch_count}
+    etilde = [np.frombuffer(buf).reshape(-1, leso.order)
+              for buf, leso in buffers]
+    eps_norm = [np.max(np.abs(e) / [omega_o**i for i in range(leso.order)],
+                       axis=1)
+                for e, leso in zip(etilde, bank)]
+    gamma = np.maximum.accumulate(np.max(eps_norm, axis=0))
+    table = ResidueTable.for_gain_family(
+        char, build_g_family(char.gain_row, bank[0].beta, 2))
+    bound = tracking_error_bound(char, table.row(2), omega_o, 0.0, gamma, 0.0)
+    with np.errstate(invalid="ignore"):
+        ratio = float(np.max(np.abs(ebar[1:]) / bound[1:]))
+    return {
+        "t": np.arange(steps + 1) * dt, "etilde": etilde,
+        "eps_norm": eps_norm, "ebar": ebar, "gamma": gamma, "bank": bank,
+        "h1": max(dist.sup_derivative(k) for k in range(1, top - 1)),
+        "h2": reference_sup_bound(ref, top),
+        "tracking_bound": bound, "ebar_ratio": ratio,
+        "switches": sup.switch_count,
+    }
 
 
 def single_eso_oracle(plant, char, reference, leso, dt, steps):

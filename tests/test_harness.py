@@ -178,8 +178,18 @@ def test_sweep_runs_values_in_order():
 
 def test_sweep_rejects_bad_path():
     cfg = make_preset("tiny")
-    with pytest.raises(ConfigError):
-        sweep(cfg, "plant.nonexistent.level", [1.0])
+    for path in ("plant.nonexistent.level", "observers.x.omega_o",
+                 "observers.7.omega_o"):
+        with pytest.raises(ConfigError) as err:
+            sweep(cfg, path, [1.0])
+        assert err.value.field == path
+
+
+def test_sweep_value_with_a_slash_is_checked_as_its_own_field():
+    # the value goes into the run's name, which may not hold a '/'
+    with pytest.raises(ConfigError) as err:
+        sweep(make_preset("tiny"), "reference.kind", ["a/b"])
+    assert err.value.field == "reference.kind"
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +229,12 @@ def test_cli_bad_config_exits_1(tmp_path):
     ("noise_amplitude", "NaN"),
     ("duration", "0.0005"),  # under one step of dt = 1e-3
     ("dt", "5e-324"),  # duration / dt overflows
+    ("run_baselines", '"no"'),
+    ("run_baselines", "1"),
+    ("name", "null"),
+    ("name", '""'),
+    ("name", '"a/b"'),
+    ("output_dir", "5"),
 ])
 def test_cli_bad_numeric_field_exits_1_naming_it(tmp_path, capsys, field, raw):
     data = make_preset("tiny").to_dict()

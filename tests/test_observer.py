@@ -13,6 +13,7 @@ from esobank.observer import (
     bound_tail_max,
     contraction_norm_profile,
     error_contraction_matrix,
+    error_envelope,
     estimation_error_bound,
     inf_norm,
     scaled_error_bound,
@@ -116,6 +117,9 @@ def test_estimation_error_bound_values():
     assert scaled_error_bound(beta, 10.0, 0.0, 0.5, 0.5, 1.0) == (
         pytest.approx(3.0 / 10.0**3)
     )
+    assert estimation_error_bound(beta, 10.0, 0.0, 0.5, 0.5, 1.0, None) == (
+        pytest.approx(3.0 / 10.0**3)
+    )
     with pytest.raises(ValueError):
         estimation_error_bound(beta, -1.0, 0.0, 0.0, 0.0, 0.5, 1)
 
@@ -133,6 +137,25 @@ def test_contraction_matrix_and_norm_profile():
         direct = inf_norm(expm(omega * k * 1e-3 * a))
         assert profile[k] == pytest.approx(direct, rel=1e-9, abs=1e-12)
     assert profile[0] == 1.0
+
+
+def test_envelope_on_the_norm_profile_matches_the_expm_route():
+    omega, dt, steps = 40.0, 1e-3, 60
+    # h large enough that the tail weighs like the transient
+    eps0, h1, h2 = 0.7, 2e4, 5e3
+    for order in (3, 4):
+        beta = leso_gains(order, omega)
+        norms = contraction_norm_profile(beta, omega, dt, steps)
+        for i in (*range(1, order + 1), None):
+            grid = error_envelope(order, omega, eps0, h1, h2, norms, i)
+            for k in range(0, steps + 1, 6):
+                tau = k * dt
+                if i is None:
+                    direct = scaled_error_bound(beta, omega, eps0, h1, h2, tau)
+                else:
+                    direct = estimation_error_bound(beta, omega, eps0, h1, h2,
+                                                    tau, i)
+                assert grid[k] == pytest.approx(direct, rel=1e-8, abs=0.0)
 
 
 def test_bandwidth_scaling_reduces_disturbance_error():
