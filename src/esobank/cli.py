@@ -113,7 +113,7 @@ def _cmd_sweep(args):
     cfg = _load_config(args.config)
     values = _parse_values(args.values)
     results = sweep(cfg, args.param, values)
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     path = os.path.join(out, f"{cfg.name}_sweep.csv")
     with open(path, "w") as fh:
         fh.write(f"# sweep over {args.param}\n")

@@ -18,7 +18,7 @@ from .errors import ConfigError, DivergenceError
 from .evaluator import SwitchIndex, ZFilter, companion_matrix
 from .integrate import LinearBlock
 from .polynomials import build_g_family
-from .signals import Constant, Move, Polynomial, Sinusoid, signal_from_config
+from .signals import Constant, Move, Polynomial, Sinusoid, from_config
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +35,7 @@ REFERENCE_KINDS = {cls.kind: cls
 
 
 def reference_from_config(cfg):
-    return signal_from_config(cfg, "reference", REFERENCE_KINDS)
+    return from_config(cfg, "reference", REFERENCE_KINDS)
 
 
 def reference_sup_bound(ref, max_order):

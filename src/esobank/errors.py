@@ -24,6 +24,14 @@ def finite_number(value, field):
     raise ConfigError(field, f"{value!r} must be a finite number")
 
 
+def positive(value, field):
+    """``value``, unchanged, when it is a finite number above 0; otherwise a
+    ConfigError naming ``field``."""
+    if not finite_number(value, field) > 0:
+        raise ConfigError(field, f"{value!r} must be positive")
+    return value
+
+
 def finite_numbers(values, field):
     """A list of finite numbers, each checked as by ``finite_number`` under
     ``field[i]``."""

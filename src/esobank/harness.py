@@ -13,6 +13,7 @@ diff-able. Runs are deterministic for a fixed seed.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -22,12 +23,11 @@ import numpy as np
 
 from .controller import IdealTrajectory, Supervisor, reference_from_config
 from .errors import (ConfigError, DivergenceError, finite_number,
-                     finite_numbers, integer)
+                     finite_numbers, integer, positive)
 from .observer import Leso
-from .plant import (DISTURBANCE_KINDS, ChainPlant, FrictionParams, RfcPlant,
-                    disturbance_from_config)
+from .plant import PLANT_KINDS
 from .polynomials import PoleSpec, PolynomialError, char_poly
-from .signals import signal_from_config
+from .signals import config_args, from_config
 
 
 @dataclass
@@ -84,46 +84,8 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _check_plant_numbers(plant_cfg):
-    """Every number of a plant config must be finite; the plant
-    constructors check the ranges."""
-    for key, value in plant_cfg.items():
-        field = f"plant.{key}"
-        if key == "n":
-            integer(value, field, 1)
-        elif key == "x0":
-            finite_numbers(value, field)
-        elif key == "friction":
-            if not isinstance(value, dict):
-                raise ConfigError(field, "expected an object")
-            for name, number in value.items():
-                finite_number(number, f"{field}.{name}")
-        elif key not in ("kind", "disturbance", "extra_disturbance"):
-            finite_number(value, field)
-
-
 def build_plant(cfg):
-    if not isinstance(cfg.plant, dict):
-        raise ConfigError("plant", "expected an object")
-    _check_plant_numbers(cfg.plant)
-    plant_cfg = dict(cfg.plant)
-    kind = plant_cfg.pop("kind", None)
-    try:
-        if kind == "chain":
-            dist = disturbance_from_config(plant_cfg.pop("disturbance", None))
-            return ChainPlant(disturbance=dist, **plant_cfg)
-        if kind == "rfc":
-            friction_cfg = plant_cfg.pop("friction", None)
-            friction = FrictionParams(**friction_cfg) if friction_cfg else None
-            extra_cfg = plant_cfg.pop("extra_disturbance", None)
-            extra = (signal_from_config(extra_cfg, "plant.extra_disturbance",
-                                        DISTURBANCE_KINDS)
-                     if extra_cfg else None)
-            return RfcPlant(friction=friction, extra_disturbance=extra,
-                            **plant_cfg)
-    except TypeError as exc:
-        raise ConfigError("plant", str(exc)) from None
-    raise ConfigError("plant.kind", f"unknown kind {kind!r}")
+    return from_config(cfg.plant, "plant", PLANT_KINDS)
 
 
 def build_char(cfg, n):
@@ -139,44 +101,32 @@ def build_char(cfg, n):
     return char
 
 
+def _gains(value, field):
+    """null, or a list of finite numbers (passed on as given)."""
+    if value is not None:
+        finite_numbers(value, field)
+    return value
+
+
 def build_bank(cfg, n, b, e1_initial):
-    bank = []
     if not isinstance(cfg.observers, list):
         raise ConfigError("observers", "expected a list of observer objects")
+    fields = {"order": functools.partial(integer, least=n + 1),
+              "omega_o": positive, "initial_estimates": finite_numbers,
+              "beta": _gains}
+    bank = []
     for idx, ospec in enumerate(cfg.observers):
-        if not isinstance(ospec, dict):
-            raise ConfigError(f"observers[{idx}]", "expected an object")
-        ospec = dict(ospec)
-        order = ospec.pop("order", None)
-        omega_o = ospec.pop("omega_o", None)
-        initial = ospec.pop("initial_estimates", [])
-        beta = ospec.pop("beta", None)
-        if ospec:
-            raise ConfigError(
-                f"observers[{idx}]", f"unknown keys {sorted(ospec)}"
-            )
-        integer(order, f"observers[{idx}].order", n + 1)
-        if not finite_number(omega_o, f"observers[{idx}].omega_o") > 0:
-            raise ConfigError(
-                f"observers[{idx}].omega_o", f"bandwidth {omega_o!r} must be positive"
-            )
-        finite_numbers(initial, f"observers[{idx}].initial_estimates")
-        if beta is not None:
-            finite_numbers(beta, f"observers[{idx}].beta")
-        try:
-            bank.append(
-                Leso(
-                    n,
-                    order - n,
-                    omega_o,
-                    b,
-                    e1_initial=e1_initial,
-                    initial_estimates=initial,
-                    beta=beta,
-                )
-            )
+        where = f"observers[{idx}]"
+        spec = config_args(ospec, where, fields, ("order", "omega_o"))
+        order = spec.pop("order")
+        try:  # the keys left in spec are Leso's keyword arguments
+            bank.append(Leso(n, order - n, spec.pop("omega_o"), b,
+                             e1_initial=e1_initial, **spec))
+        except OverflowError:  # in the default gains, see leso_gains
+            raise ConfigError(f"{where}.omega_o", "the gains it gives at order "
+                              f"{order} leave the float range") from None
         except ValueError as exc:
-            raise ConfigError(f"observers[{idx}]", str(exc)) from None
+            raise ConfigError(where, str(exc)) from None
     if not bank:
         raise ConfigError("observers", "at least one observer is required")
     return bank
@@ -185,10 +135,8 @@ def build_bank(cfg, n, b, e1_initial):
 def _validate_numerics(cfg):
     for name in ("dt", "duration", "u_limit"):
         value = getattr(cfg, name)
-        if name == "u_limit" and value is None:
-            continue
-        if not finite_number(value, name) > 0:
-            raise ConfigError(name, f"{value!r} must be positive")
+        if name != "u_limit" or value is not None:
+            positive(value, name)
     if cfg.duration / cfg.dt <= 0.5:  # the run takes round() of it steps
         raise ConfigError("duration", f"{cfg.duration!r} is shorter than one "
                           f"step of dt = {cfg.dt!r}")

@@ -10,23 +10,32 @@ hardware numbers, and everything is configurable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DivergenceError
+from .errors import (ConfigError, DivergenceError, finite_number,
+                     finite_numbers, integer)
 from .integrate import rk4_step
 from .signals import (ConstantLevel, Sinusoid, Step, StickSlip, Sum,
-                      signal_from_config)
+                      config_args, from_config)
 
 DISTURBANCE_KINDS = {cls.kind: cls
                      for cls in (ConstantLevel, Step, Sinusoid, StickSlip, Sum)}
 
 
-def disturbance_from_config(cfg):
-    """The chain plant's disturbance; no config means none."""
+def disturbance_from_config(cfg, where="plant.disturbance"):
+    """The disturbance a plant config gives under ``where``; only null means
+    none."""
     if cfg is None:
-        return ConstantLevel()
-    return signal_from_config(cfg, "plant.disturbance", DISTURBANCE_KINDS)
+        return None
+    return from_config(cfg, where, DISTURBANCE_KINDS)
+
+
+def _reads_velocity(signal):
+    """Whether ``signal`` reads the velocity x[1] of the state it is given."""
+    return isinstance(signal, StickSlip) or any(
+        map(_reads_velocity, getattr(signal, "terms", ())))
 
 
 def _check_finite(values, context):
@@ -39,6 +48,10 @@ class ChainPlant:
     """n-th order integrator chain: x_i' = x_(i+1), x_n' = b*u + f(x, t),
     y = x_1. The disturbance may be any callable f(x, t)."""
 
+    kind = "chain"
+    FIELDS = {"n": functools.partial(integer, least=1), "b": finite_number,
+              "x0": finite_numbers, "disturbance": disturbance_from_config}
+
     def __init__(self, n, b, x0=None, disturbance=None):
         if n < 1:
             raise ConfigError("plant.n", f"order {n!r} must be >= 1")
@@ -50,6 +63,9 @@ class ChainPlant:
         if len(self.x) != self.n:
             raise ConfigError("plant.x0", f"expected {self.n} entries, got {len(self.x)}")
         self.disturbance = disturbance if disturbance is not None else ConstantLevel()
+        if self.n < 2 and _reads_velocity(self.disturbance):
+            raise ConfigError("plant.disturbance", "stick_slip acts on the "
+                              "velocity x[1], which an order-1 chain lacks")
         self.t = 0.0
         self.steps = 0
 
@@ -89,6 +105,9 @@ class FrictionParams:
     sigma_viscous: float = 10.0
     v_dead: float = 1e-4
 
+    FIELDS = dict.fromkeys(("f_coulomb", "f_static", "v_stribeck",
+                            "sigma_viscous", "v_dead"), finite_number)
+
     def __post_init__(self):
         if self.f_coulomb < 0 or self.f_static < self.f_coulomb:
             raise ConfigError(
@@ -107,14 +126,9 @@ class FrictionParams:
         )
         return math.copysign(level, v) + self.sigma_viscous * v
 
-    def to_config(self):
-        return {
-            "f_coulomb": self.f_coulomb,
-            "f_static": self.f_static,
-            "v_stribeck": self.v_stribeck,
-            "sigma_viscous": self.sigma_viscous,
-            "v_dead": self.v_dead,
-        }
+
+def _friction(cfg, where):
+    return FrictionParams(**config_args(cfg, where, FrictionParams.FIELDS))
 
 
 class RfcPlant:
@@ -129,6 +143,11 @@ class RfcPlant:
     m_f = inf is accepted and clamps the frame in place.
     """
 
+    kind = "rfc"
+    FIELDS = {**dict.fromkeys(("m_s", "m_f", "k", "c", "ka_ks"), finite_number),
+              "friction": _friction, "x0": finite_numbers,
+              "extra_disturbance": disturbance_from_config}
+
     def __init__(self, m_s=2.0, m_f=5.0, k=4.0e4, c=40.0, ka_ks=6.5,
                  friction=None, x0=(0.0, 0.0, 0.0, 0.0), extra_disturbance=None):
         if not (m_s > 0) or not (m_f > 0):
@@ -140,6 +159,9 @@ class RfcPlant:
         self.k = float(k)
         self.c = float(c)
         self.ka_ks = float(ka_ks)
+        if self.b == 0:
+            raise ConfigError("plant.ka_ks", "input gain ka_ks / m_s must be "
+                              "nonzero")
         self.friction = friction if friction is not None else FrictionParams()
         if len(x0) != 4:
             raise ConfigError("plant.x0", "expected (x_s, v_s, x_f, v_f)")
@@ -204,10 +226,7 @@ class RfcPlant:
             new = rk4_step(deriv, [self.x_s, self.v_s, self.x_f, self.v_f], self.t, dt)
             self.x_s, self.v_s, self.x_f, self.v_f = new
             # Karnopp re-latch: a slow frame inside the dead band sticks again.
-            if (
-                abs(self.v_f) < self.friction.v_dead
-                and abs(self.flexure_force_on_frame()) <= self.friction.f_static
-            ):
+            if self._stuck():
                 self.v_f = 0.0
         self.steps += 1
         self.t = self.steps * dt
@@ -223,3 +242,6 @@ class RfcPlant:
         if self.extra_disturbance is not None:
             d += self.extra_disturbance((self.x_s, self.v_s), self.t)
         return d - r_nth_derivative
+
+
+PLANT_KINDS = {cls.kind: cls for cls in (ChainPlant, RfcPlant)}

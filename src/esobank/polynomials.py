@@ -137,10 +137,6 @@ class PoleSpec:
     def degree(self):
         return sum(dj for _, dj in self.poles)
 
-    @property
-    def slowest(self):
-        return min(sj for sj, _ in self.poles)
-
 
 @dataclass(frozen=True)
 class CharPoly:
@@ -173,6 +169,10 @@ def leso_gains(order, omega_o):
         raise PolynomialError(f"observer order {order!r} must be an integer >= 2")
     if not (omega_o > 0):
         raise PolynomialError(f"observer bandwidth {omega_o!r} must be positive")
+    # every gain is at most (1 + omega_o)**order: past the float range this
+    # raises OverflowError, before an integer omega_o makes exact integers
+    # of any size
+    math.pow(1.0 + omega_o, order)
     return tuple(math.comb(order, i) * omega_o**i for i in range(1, order + 1))
 
 

@@ -8,8 +8,10 @@ envelopes, so each must hold by construction: where a derivative is
 unbounded, or does not exist at some instant (a step's jump), the bound is
 ``math.inf``, and an envelope built on it is inf rather than false.
 
-``signal_from_config`` is the one parser; each caller passes the table of
-kinds it accepts.
+``from_config`` is the one config parser, for these signals and for the
+plants; each caller passes the table of kinds it accepts. ``config_args``,
+its key and number check, also serves the config nodes that have no kind
+(plant friction, observers).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, finite_number, finite_numbers
+from .errors import ConfigError, finite_number, finite_numbers, positive
 from .integrate import ordered_sum
 
 
@@ -36,12 +38,6 @@ class Signal:
                 **{key: getattr(self, key) for key in self.FIELDS}}
 
 
-def _positive(value, field):
-    if not finite_number(value, field) > 0:
-        raise ConfigError(field, f"{value!r} must be positive")
-    return value
-
-
 def _list(value, field):
     if not isinstance(value, (list, tuple)):
         raise ConfigError(field, f"{value!r} must be a list")
@@ -49,20 +45,33 @@ def _list(value, field):
 
 
 def _segments(value, field):
-    for i, seg in enumerate(_list(value, field)):
-        if not isinstance(seg, dict):
-            raise ConfigError(f"{field}[{i}]", "expected an object")
-        for key in [*seg, *Move.SEGMENT_KEYS]:
-            if key not in Move.SEGMENT_KEYS:
-                raise ConfigError(f"{field}[{i}].{key}", "unknown key")
-            finite_number(seg.get(key), f"{field}[{i}].{key}")
-    return value
+    fields = dict.fromkeys(Move.SEGMENT_KEYS, finite_number)
+    return [config_args(seg, f"{field}[{i}]", fields, Move.SEGMENT_KEYS)
+            for i, seg in enumerate(_list(value, field))]
 
 
-def signal_from_config(cfg, where, kinds):
-    """The signal ``cfg`` describes. ``kinds`` maps each kind name the
-    caller accepts to its class. Every key and number is checked; a bad one
-    raises a ConfigError naming its field path under ``where``."""
+def config_args(cfg, where, fields, required=()):
+    """The keyword arguments the config object ``cfg`` gives. Each key must
+    be one of ``fields``, whose function checks its value and returns the
+    argument, and each of ``required`` must be there; otherwise a
+    ConfigError names the field path under ``where``."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(where, "expected an object")
+    args = {}
+    for key, value in cfg.items():
+        if key not in fields:
+            raise ConfigError(f"{where}.{key}", "unknown key")
+        args[key] = fields[key](value, f"{where}.{key}")
+    for key in required:
+        if key not in args:
+            raise ConfigError(f"{where}.{key}", "missing")
+    return args
+
+
+def from_config(cfg, where, kinds):
+    """The object ``cfg`` describes. ``kinds`` maps each kind name the
+    caller accepts to its class, whose ``FIELDS`` check the other keys and
+    whose parameters without a default are required."""
     if not isinstance(cfg, dict):
         raise ConfigError(where, "expected an object")
     args = dict(cfg)
@@ -70,15 +79,11 @@ def signal_from_config(cfg, where, kinds):
     cls = kinds.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"{where}.kind", f"unknown kind {kind!r}")
-    for key, value in args.items():
-        if key not in cls.FIELDS:
-            raise ConfigError(f"{where}.{key}", f"unknown key for kind {kind!r}")
-        args[key] = cls.FIELDS[key](value, f"{where}.{key}")
-    for name, param in inspect.signature(cls).parameters.items():
-        if param.default is param.empty and name not in args:
-            raise ConfigError(f"{where}.{name}", "missing")
+    params = inspect.signature(cls).parameters.values()
+    args = config_args(args, where, cls.FIELDS,
+                       [p.name for p in params if p.default is p.empty])
     if cls is Sum:
-        args["terms"] = [signal_from_config(term, f"{where}.terms[{i}]", kinds)
+        args["terms"] = [from_config(term, f"{where}.terms[{i}]", kinds)
                          for i, term in enumerate(args.get("terms", ()))]
     return cls(**args)
 
@@ -327,8 +332,8 @@ class StickSlip(Signal):
 
     kind = "stick_slip"
     FIELDS = {"f_coulomb": finite_number, "f_static": finite_number,
-              "v_stribeck": _positive, "sigma_viscous": finite_number,
-              "v_smooth": _positive}
+              "v_stribeck": positive, "sigma_viscous": finite_number,
+              "v_smooth": positive}
 
     def __init__(self, f_coulomb=8.0, f_static=12.0, v_stribeck=0.002,
                  sigma_viscous=10.0, v_smooth=1e-4):

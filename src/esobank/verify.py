@@ -35,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import (
-    IdealTrajectory,
-    Supervisor,
-    adrc_law,
-    reference_sup_bound,
-)
+from .controller import IdealTrajectory, adrc_law, reference_sup_bound
 from .evaluator import (
     ZFilter,
     initial_state_gap,
@@ -54,8 +49,7 @@ from .harness import (
     make_preset,
     run_scenario,
 )
-from .observer import Leso, contraction_norm_profile, error_envelope
-from .plant import ChainPlant
+from .observer import contraction_norm_profile, error_envelope
 from .polynomials import (
     PoleSpec,
     Poly,
@@ -66,7 +60,6 @@ from .polynomials import (
     reconstruct_fraction,
     residues,
 )
-from .signals import Constant, Sinusoid
 
 IDENTITY_TOL = 1e-2          # relative to sup|ebar1|
 DECAY_SLOPE_TARGET = -150.0
@@ -106,26 +99,26 @@ class CheckResult:
 
 
 def _sine_loop(poles, setpoint, b, amp, omega_d, dt, observers, window=20):
-    """The verify scenarios' closed loop: a double integrator started at rest
-    on a constant setpoint, against a sinusoidal disturbance at zero phase,
-    under a supervisor over one observer per ``(order, omega_o,
-    initial_estimates, beta)`` entry of ``observers``.
+    """The verify scenarios' closed loop, built by the harness: a double
+    integrator started at rest on a constant setpoint, against a sinusoidal
+    disturbance at zero phase, under a supervisor over one observer per
+    ``(order, omega_o, initial_estimates, beta)`` entry of ``observers``.
 
     Returns (plant, supervisor, disturbance).
     """
-    char = char_poly(PoleSpec(tuple(poles)))
-    ref = Constant(setpoint)
-    dist = Sinusoid(amp, omega_d)
-    plant = ChainPlant(2, b, x0=[setpoint, 0.0], disturbance=dist)
-    e1_0 = plant.y - ref.value(0.0)
-    bank = [
-        Leso(2, order - 2, omega_o, b, e1_initial=e1_0,
-             initial_estimates=init, beta=beta)
-        for order, omega_o, init, beta in observers
-    ]
-    traj = IdealTrajectory(char.gain_row, plant.tracking_state)
-    sup = Supervisor(char, b, ref, traj, bank, dt, window=window)
-    return plant, sup, dist
+    cfg = ScenarioConfig(
+        plant={"kind": "chain", "n": 2, "b": b, "x0": [setpoint, 0.0],
+               "disturbance": {"kind": "sinusoid", "amplitude": amp,
+                               "omega": omega_d}},
+        reference={"kind": "constant", "value": setpoint},
+        poles=[list(pole) for pole in poles],
+        observers=[{"order": order, "omega_o": omega_o,
+                    "initial_estimates": list(init), "beta": beta}
+                   for order, omega_o, init, beta in observers],
+        dt=dt, window=window,
+    )
+    plant, _, sup, _ = _make_runtime(cfg)
+    return plant, sup, plant.disturbance
 
 
 def _true_errors(plant, ref, dist, t, e1, order):

@@ -199,9 +199,11 @@ def _trajectory_case(draw):
     return poles, t0, eps0, ref
 
 
-# RK4 at h = 1e-3 against DOP853 at rtol 1e-11: the error bound, relative
-# to 1 + the component's largest magnitude over the run (the worst of 400
-# cases was 8.5e-10)
+# RK4 at h = 5e-4 against DOP853 at rtol 1e-11: the error bound, relative
+# to 1 + the component's largest magnitude over the run. At h = 1e-3 RK4's
+# own truncation reached 5.3e-8 on four simple poles (4.5, 9, 18, 36) with
+# eps(0) = (-1, 1, 1, -1); at 5e-4 the worst of a grid over the drawn pole
+# and eps(0) range was 3.2e-9.
 TRAJECTORY_RTOL = 1e-8
 
 
@@ -211,11 +213,19 @@ TRAJECTORY_RTOL = 1e-8
 # at t_eval was off by 2.2e-8 here
 @example(case=(((3.9375, 1),), 0.025390625, [0.0],
                Sinusoid(1.0, 7.5, 0.125, 0.0)))
+# eps stays 0 here too; integrated across the move's jerk jumps, DOP853
+# was off by 3.1e-7
+@example(case=(((3.09375, 1),), 0.140625, [0.0], Move(0.0, [
+    {"t_start": 0.14420966437036836, "t_move": 0.1, "target": 1.5}])))
+# drawn when the step was 1e-3, where RK4's truncation in the last
+# component of x* was 1.3e-8
+@example(case=(((3.0, 1), (6.0, 1), (12.0, 1), (36.0, 1)), 0.0,
+               [0.0, 0.0, 1.0, 0.0], Constant(0.0)))
 def test_ideal_trajectory_solves_the_forced_closed_loop(case):
     # x*^(n) = r^(n) - k.(x* - r), solved directly, against x* = r + eps
     poles, t0, eps0, ref = case
     char = char_poly(PoleSpec(poles))
-    n, dt, steps = char.order, 1e-3, 500
+    n, dt, steps = char.order, 5e-4, 1000
     x0 = [r + e for r, e in zip(ref.derivatives(t0, n), eps0)]
 
     def forced(t, x):
@@ -223,11 +233,22 @@ def test_ideal_trajectory_solves_the_forced_closed_loop(case):
         last = r[n] - sum(k * (xi - ri) for k, xi, ri in zip(char.gain_row, x, r))
         return [*x[1:], last]
 
-    checks = range(50, steps + 1, 50)
+    checks = range(100, steps + 1, 100)
     times = [t0 + k * dt for k in checks]
-    exact = solve_ivp(forced, (t0, times[-1]), x0, method="DOP853",
-                      t_eval=times, rtol=1e-11, atol=1e-12,
-                      max_step=50 * dt).y
+    # one solve per piece between a move's jerk jumps, each started from the
+    # end state of the one before
+    jumps = sorted({t for seg in getattr(ref, "segments", ())
+                    for t in (seg["t_start"], seg["t_start"] + seg["t_move"])
+                    if t0 < t < times[-1]})
+    exact, start = [], x0
+    for lo, hi in zip([t0, *jumps], [*jumps, times[-1]]):
+        inside = [t for t in times if lo < t < hi]
+        y = solve_ivp(forced, (lo, hi), start, method="DOP853",
+                      t_eval=inside + [hi], rtol=1e-11, atol=1e-12,
+                      max_step=100 * dt).y
+        exact.append(y[:, :len(inside) + (hi in times)])
+        start = y[:, -1]
+    exact = np.hstack(exact)
     traj = IdealTrajectory(char.gain_row, x0, t0=t0)
     got = []
     for k in range(1, steps + 1):

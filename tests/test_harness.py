@@ -293,6 +293,20 @@ _MOVE = {"kind": "move", "start": 0.0,
      "plant.friction.v_stribeck"),
     ("plant", {"kind": "rfc", "friction": {"v_dead": -1.0}},
      "plant.friction.v_dead"),
+    # 1e200**2 leaves the float range in the default gains
+    ("observers", [{"order": 3, "omega_o": 1e200}], "observers[0].omega_o"),
+    # an integer omega_o at a huge order meets the same range bound before
+    # leso_gains builds exact integers of that size
+    ("observers", [{"order": 10**6, "omega_o": 300}], "observers[0].omega_o"),
+    # only null means no extra disturbance, as for the chain's disturbance
+    ("plant", {"kind": "rfc", "extra_disturbance": 0},
+     "plant.extra_disturbance"),
+    # the input gain b = ka_ks / m_s, which the observers need nonzero
+    ("plant", {"kind": "rfc", "ka_ks": 0.0}, "plant.ka_ks"),
+    ("plant", {"kind": "rfc", "ka_ks": 1e-320, "m_s": 1e10}, "plant.ka_ks"),
+    # stick-slip friction reads the velocity, which an order-1 chain lacks
+    ("plant", {"kind": "chain", "n": 1, "b": 1.0, "disturbance": {
+        "kind": "sum", "terms": [{"kind": "stick_slip"}]}}, "plant.disturbance"),
 ])
 def test_cli_bad_nested_field_exits_1_naming_it(tmp_path, capsys, section,
                                                  body, field):
@@ -378,6 +392,19 @@ def test_cli_output_dir_from_config(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["run", str(cfg_path)]) == 0
     assert (tmp_path / "nested" / "tiny_trace.csv").exists()
+
+
+def test_cli_sweep_output_dir_from_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("ESOBANK_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    data = make_preset("tiny").to_dict()
+    data["output_dir"] = str(tmp_path / "nested")
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["sweep", str(cfg_path), "--param", "window",
+                     "--values", "5,10"]) == 0
+    assert (tmp_path / "nested" / "tiny_sweep.csv").exists()
+    assert not (tmp_path / "tiny_sweep.csv").exists()
 
 
 def test_stick_slip_preset_runs():

@@ -4,7 +4,7 @@ add from left to right, and the one config parser."""
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from esobank.errors import ConfigError, DivergenceError
@@ -116,5 +116,80 @@ def test_any_signal_config_is_rejected_by_name_or_runs(prefix, body):
         run_scenario(ScenarioConfig.from_dict(data))
     except ConfigError as exc:
         assert exc.field.startswith(prefix)
+    except DivergenceError:
+        pass
+
+
+# The other config nodes go through the same parser. Each node mixes its
+# known keys, now and then one that no kind knows, and junk values; valid
+# numbers are drawn more often than junk, so that some cases run.
+_pos = st.floats(1e-3, 1e3)
+_number = st.one_of(_pos, _pos, _pos, _val)
+
+
+def _node(required, optional):
+    unknown = st.dictionaries(st.text(max_size=4), _val, min_size=1,
+                              max_size=1)
+    return st.builds(lambda node, extra: {**node, **extra},
+                     st.fixed_dictionaries(required, optional=optional),
+                     st.one_of(st.just({}), st.just({}), unknown))
+
+
+_friction_node = _node({}, dict.fromkeys(
+    ("f_coulomb", "f_static", "v_stribeck", "sigma_viscous", "v_dead"),
+    _number))
+# n stays small: a chain of order n with no x0 starts at n zeros, so a drawn
+# n of 10**9 would allocate gigabytes before the pole count rejects it
+_chain_node = _node(
+    {"kind": st.just("chain"), "n": st.integers(-1, 5) | _any, "b": _number},
+    {"x0": st.lists(_number, max_size=4) | _any,
+     "disturbance": st.none() | _signal})
+_rfc_node = _node(
+    {"kind": st.just("rfc")},
+    {**dict.fromkeys(("m_s", "m_f", "k", "c", "ka_ks"), _number),
+     "friction": st.one_of(_friction_node, _friction_node, _any),
+     "x0": st.lists(_number, min_size=4, max_size=4) | _any,
+     "extra_disturbance": st.none() | _signal})
+_observer_node = _node(
+    {"order": st.one_of(st.integers(3, 6), st.integers(3, 6), _val),
+     "omega_o": st.one_of(_pos, st.floats(min_value=1.0), _val)},
+    {"initial_estimates": st.lists(_number, max_size=5) | _any,
+     "beta": st.none() | st.lists(_pos, min_size=3, max_size=6) | _any})
+_case = st.one_of(
+    st.tuples(st.just("plant"),
+              st.one_of(_chain_node, _chain_node, _rfc_node, _rfc_node, _any)),
+    st.tuples(st.just("plant.friction"),
+              st.one_of(_friction_node, _friction_node, _any)),
+    st.tuples(st.just("observers[0]"),
+              st.one_of(_observer_node, _observer_node, _any)),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_case)
+# the default gains of an order-3 observer hold omega_o**3
+@example(case=("observers[0]", {"order": 3, "omega_o": 1e200}))
+def test_any_plant_or_observer_config_is_rejected_by_name_or_runs(case):
+    # tiny keeps dt and the step count fixed; only the node is drawn
+    path, body = case
+    cfg = make_preset("tiny").to_dict()
+    if path == "plant":
+        cfg["plant"] = body
+        n = body.get("n") if isinstance(body, dict) else None
+        if type(n) is int and n >= 1:
+            # the poles and observers follow the chain's order
+            cfg["poles"] = [[150.0, n]]
+            cfg["observers"] = [{"order": n + 1, "omega_o": 300.0},
+                                {"order": n + 2, "omega_o": 300.0}]
+    elif path == "plant.friction":
+        cfg["plant"] = {"kind": "rfc", "friction": body}
+    else:
+        cfg["observers"][0] = body
+    try:
+        run_scenario(ScenarioConfig.from_dict(cfg))
+    except ConfigError as exc:
+        assert exc.field == path or exc.field.startswith((path + ".",
+                                                          path + "["))
     except DivergenceError:
         pass
